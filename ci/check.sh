@@ -2,7 +2,8 @@
 # Tier-1 verify + bench regression gate, with optional sanitizer lanes.
 #
 # Usage:
-#   ci/check.sh [build-dir]                 # Release lane + bench gate
+#   ci/check.sh [build-dir]                 # Release lane + bench gate +
+#                                           # perfbench self-test
 #   ci/check.sh --sanitize asan [build-dir] # Debug + ASan/UBSan, tiers only
 #   ci/check.sh --sanitize tsan [build-dir] # RelWithDebInfo + TSan (incl. stress)
 #   ci/check.sh --sanitize ubsan [build-dir]# Debug + UBSan, tiers only
@@ -228,6 +229,12 @@ if [[ "${RUN_BENCH}" == 1 ]]; then
     --out "${BUILD_DIR}/BENCH_ingest.json" \
     --baseline "${REPO_ROOT}/ci/bench_ingest_baseline.json" \
     --min-ratio "${PP_BENCH_GATE_MIN_RATIO:-0.30}"
+
+  echo "== perfbench self-test (ingest == replay, traced == untraced) =="
+  # Builds perfbench/ into .bench_build/ against this checkout's src/, so
+  # a renamed entry point or a broken benchmark parity fails here instead
+  # of at benchmark time.
+  (cd "${REPO_ROOT}" && python3 perfbench/run.py --self-test)
 fi
 
 echo "== OK (${SANITIZE:-${MODE:-release}} lane) =="

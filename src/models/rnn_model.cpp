@@ -10,7 +10,7 @@ namespace pp::models {
 namespace {
 
 /// Stage histograms for the batched prediction head, resolved once per
-/// precision (function-local static at the call site) and per GEMM kernel,
+/// precision (function-local static per instantiation) and per GEMM kernel,
 /// so a sampled call does no registry lookup — only two clock reads.
 struct HeadStageHists {
   std::array<obs::LatencyHistogram*, 3> gemm{};  // naive / blocked / simd
@@ -119,45 +119,35 @@ std::unique_ptr<RnnModel> RnnModel::clone() const {
   return copy;
 }
 
+template <class P>
 std::vector<double> RnnModel::score_session_batch(
-    const tensor::Matrix& hidden_block, const tensor::Matrix& x_block) const {
+    const typename P::Block& hidden_block,
+    const tensor::Matrix& x_block) const {
   // Stage timing piggybacks on the caller's sampling decision
   // (SampledSection), so head_gemm/sigmoid cover exactly the batches the
-  // policy's TraceSpan timed and the per-stage sums stay comparable.
+  // policy's TraceSpan timed and the per-stage sums stay comparable. An
+  // unsampled call reads no clock.
+  const HeadStageHists* hists = nullptr;
   if (obs::SampledSection::active()) {
-    static const HeadStageHists hists = make_head_hists("f32");
-    Stopwatch lap;
-    std::vector<double> scores = network_->infer_logits(hidden_block, x_block);
-    hists.gemm[gemm_kernel_slot()]->record(lap.lap_ns());
-    for (double& s : scores) s = pp::sigmoid(s);
-    hists.sigmoid->record(lap.elapsed_ns());
-    return scores;
+    static const HeadStageHists sampled = make_head_hists(P::kName);
+    hists = &sampled;
   }
-  std::vector<double> scores = network_->infer_logits(hidden_block, x_block);
+  Stopwatch lap(Stopwatch::Unstarted{});
+  if (hists != nullptr) lap.reset();
+  std::vector<double> scores =
+      network_->infer_logits<P>(hidden_block, x_block);
+  if (hists != nullptr) hists->gemm[gemm_kernel_slot()]->record(lap.lap_ns());
   for (double& s : scores) s = pp::sigmoid(s);
+  if (hists != nullptr) hists->sigmoid->record(lap.elapsed_ns());
   return scores;
 }
+
+template std::vector<double> RnnModel::score_session_batch<train::F32>(
+    const tensor::Matrix&, const tensor::Matrix&) const;
+template std::vector<double> RnnModel::score_session_batch<train::Int8>(
+    const tensor::QuantizedMatrix&, const tensor::Matrix&) const;
 
 void RnnModel::enable_quantized_serving() { network_->prepare_quantized(); }
-
-std::vector<double> RnnModel::score_session_batch_q8(
-    const tensor::QuantizedMatrix& hidden_block,
-    const tensor::Matrix& x_block) const {
-  if (obs::SampledSection::active()) {
-    static const HeadStageHists hists = make_head_hists("int8");
-    Stopwatch lap;
-    std::vector<double> scores =
-        network_->infer_logits_q8(hidden_block, x_block);
-    hists.gemm[gemm_kernel_slot()]->record(lap.lap_ns());
-    for (double& s : scores) s = pp::sigmoid(s);
-    hists.sigmoid->record(lap.elapsed_ns());
-    return scores;
-  }
-  std::vector<double> scores =
-      network_->infer_logits_q8(hidden_block, x_block);
-  for (double& s : scores) s = pp::sigmoid(s);
-  return scores;
-}
 
 void RnnModel::save(const std::string& path) const {
   BinaryWriter writer;

@@ -68,13 +68,20 @@ class RnnModel {
   /// online tier clones the shadow network into fresh immutable versions.
   std::unique_ptr<RnnModel> clone() const;
 
-  /// Batched session-start scoring: `hidden_block` is [B x hidden],
-  /// `x_block` is [B x predict_input_size()]; returns B access
+  /// Batched session-start scoring in precision P: `hidden_block` is
+  /// [B x hidden] (f32 rows, or the stored int8 bytes with per-row
+  /// scales), `x_block` is [B x predict_input_size()]; returns B access
   /// probabilities. Row b exactly equals the per-session score of the same
   /// (hidden, x) pair — the serving tier batches cohorts through this.
+  template <class P>
+  std::vector<double> score_session_batch(
+      const typename P::Block& hidden_block,
+      const tensor::Matrix& x_block) const;
   std::vector<double> score_session_batch(
       const tensor::Matrix& hidden_block,
-      const tensor::Matrix& x_block) const;
+      const tensor::Matrix& x_block) const {
+    return score_session_batch<train::F32>(hidden_block, x_block);
+  }
 
   /// Builds the int8 weight replicas for the quantized serving mode
   /// ("weights quantized once at load"). Requires the GRU cell; call
@@ -82,12 +89,11 @@ class RnnModel {
   /// automatically once enabled.
   void enable_quantized_serving();
   bool quantized_serving() const { return network_->quantized_ready(); }
-  /// Int8 twin of score_session_batch: `hidden_block` carries the stored
-  /// int8 bytes with per-row scales; scoring runs entirely on the int8
-  /// kernels.
   std::vector<double> score_session_batch_q8(
       const tensor::QuantizedMatrix& hidden_block,
-      const tensor::Matrix& x_block) const;
+      const tensor::Matrix& x_block) const {
+    return score_session_batch<train::Int8>(hidden_block, x_block);
+  }
 
   const train::RnnNetwork& network() const { return *network_; }
   train::RnnNetwork& network() { return *network_; }

@@ -17,8 +17,12 @@ namespace pp::serving {
 
 enum class StateCodec { kFloat32, kInt8 };
 
-struct StoredState {
-  train::InferenceState state;
+/// One user's persisted record in serving precision P (train::F32 or
+/// train::Int8). Both precisions share one wire format, so put/put_q8 and
+/// get/get_q8 are freely interchangeable on a kInt8 store.
+template <class P>
+struct BasicStoredState {
+  train::BasicInferenceState<P> state;
   /// Timestamp t_k of the last session folded into the state (needed for
   /// the T(t - t_k) prediction input).
   std::int64_t last_update_time = 0;
@@ -26,40 +30,43 @@ struct StoredState {
   std::uint32_t updates = 0;
 };
 
-/// The int8 twin of StoredState for the quantized serving mode: the state
-/// matrices stay in their stored byte form (scale + int8 vector). The wire
-/// format is identical to the kInt8 codec, so put/put_q8 and get/get_q8
-/// are freely interchangeable on one store.
-struct QuantizedStoredState {
-  train::QuantizedInferenceState state;
-  std::int64_t last_update_time = 0;
-  std::uint32_t updates = 0;
-};
+using StoredState = BasicStoredState<train::F32>;
+/// The state matrices stay in their stored byte form (scale + int8
+/// vector), the same bytes the kInt8 codec writes.
+using QuantizedStoredState = BasicStoredState<train::Int8>;
 
 class HiddenStateStore {
  public:
   HiddenStateStore(KvStore& store, StateCodec codec = StateCodec::kFloat32)
       : store_(&store), codec_(codec) {}
 
-  void put(std::uint64_t user_id, const StoredState& state);
+  /// Writes one user's record. An Int8 state goes to the wire without an
+  /// f32 encode pass (the GRU step already re-quantized it); it needs the
+  /// kInt8 codec (std::logic_error otherwise) and one scale per layer.
+  template <class P>
+  void put(std::uint64_t user_id, const BasicStoredState<P>& state);
   /// Returns the stored state, or std::nullopt for a cold user. `network`
-  /// supplies the expected state geometry.
-  std::optional<StoredState> get(std::uint64_t user_id,
-                                 const train::RnnNetwork& network) const;
-
-  /// Raw int8 read for the quantized serving path: the stored bytes and
-  /// scale are handed over as-is — no f32 decode happens. Requires the
-  /// kInt8 codec and a single-part (GRU) state record whose geometry
-  /// matches `network` (callers memcpy hidden_size bytes straight out of
-  /// the returned state, so a stale record from a differently-sized model
-  /// must fail loudly here); throws std::logic_error / std::runtime_error
-  /// otherwise.
-  std::optional<QuantizedStoredState> get_q8(
+  /// supplies the expected layer count, parts per layer (its cell) and
+  /// width: callers memcpy hidden_size values straight out of the returned
+  /// state, so a record from a differently-shaped model throws
+  /// std::runtime_error here. Int8 hands the stored bytes and scale over
+  /// as-is (no f32 decode) and needs the kInt8 codec (std::logic_error
+  /// otherwise) and a GRU record.
+  template <class P>
+  std::optional<BasicStoredState<P>> get(
       std::uint64_t user_id, const train::RnnNetwork& network) const;
-  /// Writes an already-quantized state without an f32 encode pass (the
-  /// GRU step re-quantized the updated hidden; its bytes go straight to
-  /// the wire). Same format as put() under kInt8.
-  void put_q8(std::uint64_t user_id, const QuantizedStoredState& state);
+
+  std::optional<StoredState> get(std::uint64_t user_id,
+                                 const train::RnnNetwork& network) const {
+    return get<train::F32>(user_id, network);
+  }
+  std::optional<QuantizedStoredState> get_q8(
+      std::uint64_t user_id, const train::RnnNetwork& network) const {
+    return get<train::Int8>(user_id, network);
+  }
+  void put_q8(std::uint64_t user_id, const QuantizedStoredState& state) {
+    put(user_id, state);
+  }
 
   /// Serialized size of one state (the per-user storage footprint).
   std::size_t encoded_bytes(const train::RnnNetwork& network) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -29,66 +28,56 @@ std::vector<double> PrecomputePolicy::score_sessions(
 
 RnnPolicy::RnnPolicy(const models::RnnModel& model, HiddenStateStore& store,
                      ScorePrecision precision)
-    : model_(&model),
+    : RnnPolicy(&model, nullptr, store, precision) {}
+
+RnnPolicy::RnnPolicy(const online::ModelRegistry& registry,
+                     HiddenStateStore& store, ScorePrecision precision)
+    : RnnPolicy(nullptr, &registry, store, precision) {}
+
+RnnPolicy::RnnPolicy(const models::RnnModel* model,
+                     const online::ModelRegistry* registry,
+                     HiddenStateStore& store, ScorePrecision precision)
+    : model_(model),
+      registry_(registry),
+      active_(registry != nullptr ? registry->current() : nullptr),
       store_(&store),
       precision_(precision),
+      // model() reads the members initialized above. Geometry is fixed
+      // across publishes (the registry enforces it), so the seed version's
+      // time encoding is every version's time encoding.
       bucketizer_(
-          static_cast<int>(model.network().config().time_buckets)) {
+          static_cast<int>(this->model().network().config().time_buckets)) {
   if (precision_ == ScorePrecision::kInt8) {
     if (store.codec() != StateCodec::kInt8) {
       throw std::invalid_argument(
           "RnnPolicy: int8 scoring needs a kInt8-codec HiddenStateStore");
     }
-    if (!model.quantized_serving()) {
+    if (registry_ == nullptr && !model_->quantized_serving()) {
       throw std::invalid_argument(
           "RnnPolicy: call RnnModel::enable_quantized_serving() before "
           "constructing an int8 policy");
     }
-  }
-  init_obs();
-}
-
-RnnPolicy::RnnPolicy(const online::ModelRegistry& registry,
-                     HiddenStateStore& store, ScorePrecision precision)
-    : model_(nullptr),
-      registry_(&registry),
-      active_(registry.current()),
-      store_(&store),
-      precision_(precision),
-      // Geometry is fixed across publishes (the registry enforces it), so
-      // the seed version's time encoding is every version's time encoding.
-      bucketizer_(static_cast<int>(
-          registry.current()->model->network().config().time_buckets)) {
-  if (precision_ == ScorePrecision::kInt8) {
-    if (store.codec() != StateCodec::kInt8) {
-      throw std::invalid_argument(
-          "RnnPolicy: int8 scoring needs a kInt8-codec HiddenStateStore");
-    }
-    if (!active_->model->quantized_serving() ||
-        !registry.quantize_replicas()) {
+    if (registry_ != nullptr && (!active_->model->quantized_serving() ||
+                                 !registry_->quantize_replicas())) {
       throw std::invalid_argument(
           "RnnPolicy: int8 scoring through a registry requires "
           "quantize_replicas (every published version needs fresh int8 "
           "replicas)");
     }
   }
-  init_obs();
-}
-
-void RnnPolicy::init_obs() {
-  auto& registry = obs::MetricsRegistry::global();
+  auto& metrics = obs::MetricsRegistry::global();
   const char* prec = precision_ == ScorePrecision::kInt8 ? "int8" : "f32";
-  obs_kv_get_ = &registry.histogram(
+  obs_kv_get_ = &metrics.histogram(
       "pp_serving_stage_ns", {{"stage", "kv_get"}, {"precision", prec}});
-  obs_encode_ = &registry.histogram(
+  obs_encode_ = &metrics.histogram(
       "pp_serving_stage_ns",
       {{"stage", "feature_encode"}, {"precision", prec}});
-  obs_gru_ = &registry.histogram(
+  obs_gru_ = &metrics.histogram(
       "pp_serving_stage_ns", {{"stage", "gru_update"}, {"precision", prec}});
   obs_batch_wall_ =
-      &registry.histogram("pp_serving_batch_ns", {{"precision", prec}});
+      &metrics.histogram("pp_serving_batch_ns", {{"precision", prec}});
   obs_batch_sessions_ =
-      &registry.histogram("pp_serving_batch_sessions", {{"precision", prec}});
+      &metrics.histogram("pp_serving_batch_sessions", {{"precision", prec}});
 }
 
 void RnnPolicy::begin_batch() {
@@ -109,26 +98,28 @@ double RnnPolicy::score_session(std::uint64_t user_id, std::int64_t t,
 
 std::vector<double> RnnPolicy::score_sessions(
     std::span<const SessionStart> sessions) {
+  if (sessions.empty()) return {};
+  return precision_ == ScorePrecision::kInt8
+             ? score_batch<train::Int8>(sessions)
+             : score_batch<train::F32>(sessions);
+}
+
+template <class P>
+std::vector<double> RnnPolicy::score_batch(
+    std::span<const SessionStart> sessions) {
   const std::size_t batch = sessions.size();
-  if (batch == 0) return {};
   const models::RnnModel& active = model();
   const train::RnnNetwork& net = active.network();
   const auto& seq_cfg = active.sequence_config();
   const std::size_t fw = net.config().feature_size;
   const std::size_t tb = net.config().time_buckets;
-  const std::size_t hidden_size = net.config().hidden_size;
-  const bool q8 = precision_ == ScorePrecision::kInt8;
 
   tensor::Matrix x(batch, fw + tb);
-  // f32 mode gathers decoded hidden rows; int8 mode gathers the stored
-  // bytes themselves (per-row scales). Cold users get the cell's actual
-  // initial state (not an assumed zero fill) in either precision.
-  tensor::Matrix h(q8 ? 0 : batch, hidden_size);
-  tensor::QuantizedMatrix h_q8(q8 ? batch : 0, hidden_size);
-  const train::InferenceState cold =
-      q8 ? train::InferenceState{} : net.infer_initial_state();
-  const train::QuantizedInferenceState cold_q8 =
-      q8 ? net.infer_initial_state_q8() : train::QuantizedInferenceState{};
+  // Row b is user b's stored hidden: decoded f32 values, or the stored
+  // int8 bytes themselves with per-row scales. Cold users get the cell's
+  // actual initial state (not an assumed zero fill).
+  typename P::Block h(batch, net.config().hidden_size);
+  const train::BasicInferenceState<P> cold = net.infer_initial_state<P>();
   // Per-batch stage breakdown (sampled 1-in-N): kv_get and feature_encode
   // accumulate per-session laps; head_gemm/sigmoid are recorded inside
   // score_session_batch under the same SampledSection; the span's total is
@@ -142,49 +133,26 @@ std::vector<double> RnnPolicy::score_sessions(
     // only the model evaluation is batched. The stripe lock orders the
     // snapshot read against any concurrent on_session_complete for the
     // same user.
-    std::int64_t last_update_time = 0;
-    std::uint32_t updates = 0;
-    if (q8) {
-      std::optional<QuantizedStoredState> stored;
-      {
-        MutexLock lock(stripe_for(s.user_id));
-        stored = store_->get_q8(s.user_id, net);
-      }
-      if (stored.has_value()) {
-        last_update_time = stored->last_update_time;
-        updates = stored->updates;
-      }
-      const tensor::QuantizedMatrix& hidden =
-          stored.has_value() ? stored->state.hidden() : cold_q8.hidden();
-      std::memcpy(h_q8.row_data(b), hidden.data(), hidden_size);
-      h_q8.set_row_scale(b, hidden.scale());
-    } else {
-      std::optional<StoredState> stored;
-      {
-        MutexLock lock(stripe_for(s.user_id));
-        stored = store_->get(s.user_id, net);
-      }
-      if (stored.has_value()) {
-        last_update_time = stored->last_update_time;
-        updates = stored->updates;
-      }
-      const tensor::Matrix& hidden =
-          stored.has_value() ? stored->state.hidden() : cold.hidden();
-      std::memcpy(h.row(b).data(), hidden.data(),
-                  hidden_size * sizeof(float));
+    std::optional<BasicStoredState<P>> stored;
+    {
+      MutexLock lock(stripe_for(s.user_id));
+      stored = store_->get<P>(s.user_id, net);
     }
+    P::gather(h, b,
+              stored.has_value() ? stored->state.hidden() : cold.hidden());
     span.stage_add(0);  // kv_get: stripe-locked lookup + state gather
     if (seq_cfg.context_at_predict && fw > 0) {
       train::encode_step_features(active.schema(), seq_cfg.feature_mode,
                                   s.t, s.context, x.row(b));
     }
-    const std::int64_t gap = updates > 0 ? s.t - last_update_time : 0;
+    const std::int64_t gap = stored.has_value() && stored->updates > 0
+                                 ? s.t - stored->last_update_time
+                                 : 0;
     bucketizer_.encode(gap, x.row(b).subspan(fw, tb));
     span.stage_add(1);  // feature_encode: context + gap bucketization
   }
 
-  std::vector<double> scores = q8 ? active.score_session_batch_q8(h_q8, x)
-                                  : active.score_session_batch(h, x);
+  std::vector<double> scores = active.score_session_batch<P>(h, x);
   if (span.sampled()) {
     obs_batch_sessions_->record(static_cast<std::int64_t>(batch));
   }
@@ -195,6 +163,15 @@ std::vector<double> RnnPolicy::score_sessions(
 }
 
 void RnnPolicy::on_session_complete(const JoinedSession& joined) {
+  if (precision_ == ScorePrecision::kInt8) {
+    complete<train::Int8>(joined);
+  } else {
+    complete<train::F32>(joined);
+  }
+}
+
+template <class P>
+void RnnPolicy::complete(const JoinedSession& joined) {
   const models::RnnModel& active = model();
   const train::RnnNetwork& net = active.network();
   const auto& seq_cfg = active.sequence_config();
@@ -210,31 +187,13 @@ void RnnPolicy::on_session_complete(const JoinedSession& joined) {
   // the same user strictly ordered (no lost updates).
   MutexLock lock(stripe_for(joined.user_id));
 
-  // Read the prior state in the active precision. The int8 mode keeps the
-  // stored bytes as-is: they feed the quantized GRU products directly and
-  // only the updated hidden is re-encoded.
-  StoredState state;
-  QuantizedStoredState state_q8;
-  const bool q8 = precision_ == ScorePrecision::kInt8;
-  std::int64_t last_update_time = 0;
-  std::uint32_t updates = 0;
-  if (q8) {
-    if (auto stored = store_->get_q8(joined.user_id, net);
-        stored.has_value()) {
-      state_q8 = std::move(*stored);
-    } else {
-      state_q8.state = net.infer_initial_state_q8();
-    }
-    last_update_time = state_q8.last_update_time;
-    updates = state_q8.updates;
+  // The int8 mode keeps the stored bytes as-is: they feed the quantized
+  // GRU products directly and only the updated hidden is re-encoded.
+  BasicStoredState<P> state;
+  if (auto stored = store_->get<P>(joined.user_id, net); stored.has_value()) {
+    state = std::move(*stored);
   } else {
-    if (auto stored = store_->get(joined.user_id, net); stored.has_value()) {
-      state = std::move(*stored);
-    } else {
-      state.state = net.infer_initial_state();
-    }
-    last_update_time = state.last_update_time;
-    updates = state.updates;
+    state.state = net.infer_initial_state<P>();
   }
 
   tensor::Matrix row(1, fw + tb + 1);
@@ -244,21 +203,14 @@ void RnnPolicy::on_session_complete(const JoinedSession& joined) {
                                 row.row(0));
   }
   const std::int64_t dt =
-      updates > 0 ? joined.session_start - last_update_time : 0;
+      state.updates > 0 ? joined.session_start - state.last_update_time : 0;
   bucketizer_.encode(dt, row.row(0).subspan(fw, tb));
   row.row(0)[fw + tb] = joined.access ? 1.0f : 0.0f;
 
-  if (q8) {
-    net.infer_update_q8(state_q8.state, row);
-    state_q8.last_update_time = joined.session_start;
-    state_q8.updates += 1;
-    store_->put_q8(joined.user_id, state_q8);
-  } else {
-    net.infer_update(state.state, row);
-    state.last_update_time = joined.session_start;
-    state.updates += 1;
-    store_->put(joined.user_id, state);
-  }
+  net.infer_update(state.state, row);
+  state.last_update_time = joined.session_start;
+  state.updates += 1;
+  store_->put(joined.user_id, state);
   state_updates_.fetch_add(1, std::memory_order_relaxed);
   model_flops_.fetch_add(net.update_flops(), std::memory_order_relaxed);
 }

@@ -177,10 +177,18 @@ class RnnPolicy final : public PrecomputePolicy {
 
   static constexpr std::size_t kLockStripes = 64;
 
-  /// Resolves the policy's obs instruments once (registry lookups happen
-  /// here, never on the scoring path). Observe-only: these record latency
-  /// distributions, nothing reads them back into a decision.
-  void init_obs();
+  /// Both public constructors delegate here (exactly one of `model` /
+  /// `registry` is set): validates the int8 requirements and resolves the
+  /// obs instruments once, so no registry lookup happens while scoring.
+  RnnPolicy(const models::RnnModel* model,
+            const online::ModelRegistry* registry, HiddenStateStore& store,
+            ScorePrecision precision);
+  /// score_sessions / on_session_complete in serving precision P; the
+  /// public entry points pick P from precision_ once per call.
+  template <class P>
+  std::vector<double> score_batch(std::span<const SessionStart> sessions);
+  template <class P>
+  void complete(const JoinedSession& joined);
 
   const models::RnnModel* model_;
   const online::ModelRegistry* registry_ = nullptr;
@@ -196,7 +204,8 @@ class RnnPolicy final : public PrecomputePolicy {
   std::atomic<std::size_t> model_flops_{0};
   // Per-stage latency histograms (sampled; see obs::TraceSpan). Raw
   // pointers into the process-global MetricsRegistry, valid for the
-  // process lifetime.
+  // process lifetime. Observe-only: nothing reads them back into a
+  // decision.
   obs::LatencyHistogram* obs_kv_get_ = nullptr;
   obs::LatencyHistogram* obs_encode_ = nullptr;
   obs::LatencyHistogram* obs_gru_ = nullptr;

@@ -9,6 +9,16 @@ namespace pp::train {
 
 using namespace autograd;
 
+template <>
+const F32::Weights& RnnNetwork::weights<F32>() const {
+  return weights_;
+}
+
+template <>
+const Int8::Weights& RnnNetwork::weights<Int8>() const {
+  return quantized_weights();
+}
+
 RnnNetwork::RnnNetwork(const RnnNetworkConfig& config, Rng& rng)
     : config_(config) {
   // feature_size may be 0 (FeatureMode::kNone, the §10.1 reusable model):
@@ -19,38 +29,40 @@ RnnNetwork::RnnNetwork(const RnnNetworkConfig& config, Rng& rng)
   }
   std::size_t input = config.update_input_size();
   for (int l = 0; l < config.num_layers; ++l) {
-    cells_.push_back(
+    weights_.cells.push_back(
         nn::make_cell(config.cell, input, config.hidden_size, rng));
-    register_submodule("cell" + std::to_string(l), *cells_.back());
+    register_submodule("cell" + std::to_string(l), *weights_.cells.back());
     input = config.hidden_size;
   }
   const std::size_t pred_in = config.predict_input_size();
   if (config.latent_cross) {
-    latent_ = std::make_unique<nn::Linear>(pred_in, config.hidden_size, rng,
-                                           "latent");
-    register_submodule("latent", *latent_);
+    weights_.latent = std::make_unique<nn::Linear>(
+        pred_in, config.hidden_size, rng, "latent");
+    register_submodule("latent", *weights_.latent);
   }
-  w1_ = std::make_unique<nn::Linear>(config.hidden_size + pred_in,
-                                     config.mlp_hidden, rng, "w1");
-  register_submodule("w1", *w1_);
-  w2_ = std::make_unique<nn::Linear>(config.mlp_hidden, 1, rng, "w2");
-  register_submodule("w2", *w2_);
+  weights_.w1 = std::make_unique<nn::Linear>(config.hidden_size + pred_in,
+                                             config.mlp_hidden, rng, "w1");
+  register_submodule("w1", *weights_.w1);
+  weights_.w2 = std::make_unique<nn::Linear>(config.mlp_hidden, 1, rng, "w2");
+  register_submodule("w2", *weights_.w2);
 }
 
 std::vector<nn::CellState> RnnNetwork::graph_initial_state() const {
   std::vector<nn::CellState> state;
-  state.reserve(cells_.size());
-  for (const auto& cell : cells_) state.push_back(cell->initial_state(1));
+  state.reserve(weights_.cells.size());
+  for (const auto& cell : weights_.cells) {
+    state.push_back(cell->initial_state(1));
+  }
   return state;
 }
 
 std::vector<nn::CellState> RnnNetwork::graph_update(
     const std::vector<nn::CellState>& state, const Variable& x) const {
   std::vector<nn::CellState> next;
-  next.reserve(cells_.size());
+  next.reserve(weights_.cells.size());
   Variable input = x;
-  for (std::size_t l = 0; l < cells_.size(); ++l) {
-    next.push_back(cells_[l]->step(state[l], input));
+  for (std::size_t l = 0; l < weights_.cells.size(); ++l) {
+    next.push_back(weights_.cells[l]->step(state[l], input));
     input = next.back().front();
   }
   return next;
@@ -61,30 +73,35 @@ Variable RnnNetwork::graph_predict_logit(const Variable& h_k,
   Variable crossed = h_k;
   if (config_.latent_cross) {
     // h' = h_k ∘ (1 + L(x))
-    crossed = mul(h_k, add_scalar(latent_->forward(x), 1.0f));
+    crossed = mul(h_k, add_scalar(weights_.latent->forward(x), 1.0f));
   }
   Variable mlp_in = concat_cols(crossed, x);
-  Variable hidden = w1_->forward(mlp_in);
+  Variable hidden = weights_.w1->forward(mlp_in);
   hidden = dropout(hidden, config_.dropout, rng, training());
   hidden = relu(hidden);
-  return w2_->forward(hidden);  // raw logit; sigmoid applied by the caller
+  // Raw logit; the caller applies the sigmoid.
+  return weights_.w2->forward(hidden);
 }
 
-InferenceState RnnNetwork::infer_initial_state() const {
-  InferenceState state;
-  state.layers.reserve(cells_.size());
-  for (const auto& cell : cells_) {
-    state.layers.push_back(cell->infer_initial_state(1));
+template <class P>
+BasicInferenceState<P> RnnNetwork::infer_initial_state() const {
+  const typename P::Weights& w = weights<P>();
+  BasicInferenceState<P> state;
+  state.layers.reserve(w.cells.size());
+  for (const auto& cell : w.cells) {
+    state.layers.push_back(P::initial_layer(cell));
   }
   return state;
 }
 
-void RnnNetwork::infer_update(InferenceState& state, const Matrix& x) const {
+template <class P>
+void RnnNetwork::infer_update(BasicInferenceState<P>& state,
+                              const Matrix& x) const {
+  const typename P::Weights& w = weights<P>();
   const Matrix* input = &x;
   Matrix carried;
-  for (std::size_t l = 0; l < cells_.size(); ++l) {
-    cells_[l]->infer_step(state.layers[l], *input);
-    carried = state.layers[l].front();
+  for (std::size_t l = 0; l < w.cells.size(); ++l) {
+    carried = P::step(w.cells[l], state.layers[l], *input);
     input = &carried;
   }
 }
@@ -93,30 +110,44 @@ double RnnNetwork::infer_logit(const Matrix& h_k, const Matrix& x) const {
   return infer_logits(h_k, x).front();
 }
 
-std::vector<double> RnnNetwork::infer_logits(const Matrix& h_block,
+template <class P>
+std::vector<double> RnnNetwork::infer_logits(const typename P::Block& h_block,
                                              const Matrix& x_block) const {
+  const typename P::Weights& w = weights<P>();
   if (h_block.rows() != x_block.rows()) {
-    throw std::invalid_argument("infer_logits: batch mismatch " +
-                                h_block.shape_string() + " vs " +
-                                x_block.shape_string());
+    throw std::invalid_argument(
+        std::string("infer_logits: ") + P::kName + " batch mismatch " +
+        std::to_string(h_block.rows()) + " vs " +
+        std::to_string(x_block.rows()) + " rows");
   }
-  Matrix crossed = h_block;
+  // Latent cross: h' = h ∘ (1 + L(x)).
+  Matrix crossed = P::dequantize(h_block);
   if (config_.latent_cross) {
-    Matrix factor = latent_->infer(x_block);
+    const Matrix factor = P::apply(*w.latent, x_block);
     for (std::size_t i = 0; i < crossed.size(); ++i) {
       crossed[i] *= 1.0f + factor[i];
     }
   }
-  Matrix mlp_in = Matrix::concat_cols(crossed, x_block);
-  Matrix hidden = w1_->infer(mlp_in);
+  const Matrix mlp_in = Matrix::concat_cols(crossed, x_block);
+  Matrix hidden = P::apply(*w.w1, mlp_in);
   for (std::size_t i = 0; i < hidden.size(); ++i) {
     hidden[i] = hidden[i] > 0 ? hidden[i] : 0.0f;
   }
-  const Matrix logit = w2_->infer(hidden);  // [B x 1]
+  const Matrix logit = P::apply(*w.w2, hidden, /*one_sided=*/true);  // [B x 1]
   std::vector<double> out(logit.rows());
   for (std::size_t b = 0; b < logit.rows(); ++b) out[b] = logit.at(b, 0);
   return out;
 }
+
+template InferenceState RnnNetwork::infer_initial_state<F32>() const;
+template QuantizedInferenceState RnnNetwork::infer_initial_state<Int8>() const;
+template void RnnNetwork::infer_update(InferenceState&, const Matrix&) const;
+template void RnnNetwork::infer_update(QuantizedInferenceState&,
+                                       const Matrix&) const;
+template std::vector<double> RnnNetwork::infer_logits<F32>(
+    const Matrix&, const Matrix&) const;
+template std::vector<double> RnnNetwork::infer_logits<Int8>(
+    const tensor::QuantizedMatrix&, const Matrix&) const;
 
 void RnnNetwork::deserialize(BinaryReader& reader) {
   nn::Module::deserialize(reader);
@@ -125,8 +156,8 @@ void RnnNetwork::deserialize(BinaryReader& reader) {
 
 void RnnNetwork::prepare_quantized() {
   auto weights = std::make_unique<QuantizedNetworkWeights>();
-  weights->cells.reserve(cells_.size());
-  for (const auto& cell : cells_) {
+  weights->cells.reserve(weights_.cells.size());
+  for (const auto& cell : weights_.cells) {
     const auto* gru = dynamic_cast<const nn::GruCell*>(cell.get());
     if (gru == nullptr) {
       throw std::invalid_argument(
@@ -134,9 +165,11 @@ void RnnNetwork::prepare_quantized() {
     }
     weights->cells.emplace_back(*gru);
   }
-  if (latent_) weights->latent = std::make_unique<nn::QuantizedLinear>(*latent_);
-  weights->w1 = std::make_unique<nn::QuantizedLinear>(*w1_);
-  weights->w2 = std::make_unique<nn::QuantizedLinear>(*w2_);
+  if (weights_.latent) {
+    weights->latent = std::make_unique<nn::QuantizedLinear>(*weights_.latent);
+  }
+  weights->w1 = std::make_unique<nn::QuantizedLinear>(*weights_.w1);
+  weights->w2 = std::make_unique<nn::QuantizedLinear>(*weights_.w2);
   qweights_ = std::move(weights);
 }
 
@@ -146,69 +179,6 @@ const QuantizedNetworkWeights& RnnNetwork::quantized_weights() const {
         "quantized_weights: call prepare_quantized() at load time first");
   }
   return *qweights_;
-}
-
-QuantizedInferenceState RnnNetwork::infer_initial_state_q8() const {
-  QuantizedInferenceState state;
-  state.layers.assign(cells_.size(),
-                      tensor::QuantizedMatrix(1, config_.hidden_size));
-  return state;
-}
-
-void RnnNetwork::infer_update_q8(QuantizedInferenceState& state,
-                                 const Matrix& x) const {
-  const QuantizedNetworkWeights& qw = quantized_weights();
-  const Matrix* input = &x;
-  Matrix carried;
-  for (std::size_t l = 0; l < qw.cells.size(); ++l) {
-    carried = qw.cells[l].infer_step(state.layers[l], *input);
-    input = &carried;
-  }
-}
-
-std::vector<double> RnnNetwork::infer_logits_q8(
-    const tensor::QuantizedMatrix& h_block, const Matrix& x_block) const {
-  const QuantizedNetworkWeights& qw = quantized_weights();
-  if (h_block.rows() != x_block.rows()) {
-    throw std::invalid_argument("infer_logits_q8: batch mismatch");
-  }
-  const std::size_t B = h_block.rows();
-  const std::size_t H = config_.hidden_size;
-
-  // Latent cross: h' = h ∘ (1 + L(x)). The stored int8 h enters only this
-  // elementwise product, dequantized value-by-value with its per-row
-  // scale; the L(x) product itself is int8.
-  Matrix crossed(B, H);
-  if (config_.latent_cross) {
-    const tensor::QuantizedMatrix qx =
-        tensor::QuantizedMatrix::quantize_rows(x_block);
-    const Matrix factor = qw.latent->infer(qx);
-    for (std::size_t b = 0; b < B; ++b) {
-      for (std::size_t j = 0; j < H; ++j) {
-        crossed.at(b, j) = h_block.dequant(b, j) * (1.0f + factor.at(b, j));
-      }
-    }
-  } else {
-    for (std::size_t b = 0; b < B; ++b) {
-      for (std::size_t j = 0; j < H; ++j) {
-        crossed.at(b, j) = h_block.dequant(b, j);
-      }
-    }
-  }
-
-  // MLP head: activations are requantized per row in front of each int8
-  // product; the ReLU output is one-sided so the affine form buys a bit.
-  const Matrix mlp_in = Matrix::concat_cols(crossed, x_block);
-  Matrix hidden =
-      qw.w1->infer(tensor::QuantizedMatrix::quantize_rows(mlp_in));
-  for (std::size_t i = 0; i < hidden.size(); ++i) {
-    hidden[i] = hidden[i] > 0 ? hidden[i] : 0.0f;
-  }
-  const Matrix logit =
-      qw.w2->infer(tensor::QuantizedMatrix::quantize_rows_affine(hidden));
-  std::vector<double> out(B);
-  for (std::size_t b = 0; b < B; ++b) out[b] = logit.at(b, 0);
-  return out;
 }
 
 std::size_t RnnNetwork::predict_flops() const {

@@ -410,41 +410,50 @@ TrainingCurve RnnTrainer::fit(const data::Dataset& dataset,
 
 namespace {
 
-/// Shared tape-free replay scaffold of score_users / score_users_q8: the
+/// Tape-free replay of score_users / score_users_q8 in precision P: the
 /// per-user sequence walk with lazy update application, the
 /// [emit_from, emit_to) emission filter, ~256-row flush blocks through the
 /// batched RNNpredict head, optional per-user thread fan-out, and the
-/// deterministic (user-order) series merge. `Path` supplies the numerics —
-/// state representation, update step, hidden-snapshot gather, and the
-/// batched head — so the f32 and int8 replays cannot drift apart in
-/// emission semantics (the prequential gate compares their series 1:1).
-template <typename Path>
+/// deterministic (user-order) series merge. One body for both precisions,
+/// so the f32 and int8 replays cannot drift apart in emission semantics
+/// (the prequential gate compares their series 1:1). Row b of a block
+/// equals the same row scored alone, so blocking is bit-transparent.
+template <class P>
 ScoredSeries replay_users(const RnnNetwork& network,
                           const data::Dataset& dataset,
                           std::span<const std::size_t> user_indices,
                           const SequenceConfig& sequence_config,
                           bool timeshift, std::int64_t emit_from,
                           std::int64_t emit_to, std::size_t num_threads) {
+  const BasicInferenceState<P> cold = network.infer_initial_state<P>();
+  const std::size_t hidden_cols = network.config().hidden_size;
   std::vector<ScoredSeries> partial(user_indices.size());
   auto score_one = [&](std::size_t i) {
     const UserSequence seq =
         build_sequence(dataset, dataset.users[user_indices[i]],
                        sequence_config, timeshift);
-    Path path(network);
+    BasicInferenceState<P> state = cold;
     std::uint32_t applied = 0;
     const std::size_t pred_cols = seq.predict_inputs.cols();
     constexpr std::size_t kBlock = 256;
     std::vector<float> x_buf, labels;
     std::vector<std::int64_t> stamps;
+    std::vector<typename P::Block> hidden_rows;
     auto flush = [&] {
       if (stamps.empty()) return;
       const std::size_t n = stamps.size();
       Matrix x_block(n, pred_cols, std::move(x_buf));
-      const std::vector<double> logits = path.infer_block(n, x_block);
+      typename P::Block h_block(n, hidden_cols);
+      for (std::size_t b = 0; b < n; ++b) {
+        P::gather(h_block, b, hidden_rows[b]);
+      }
+      const std::vector<double> logits =
+          network.infer_logits<P>(h_block, x_block);
       for (std::size_t b = 0; b < n; ++b) {
         partial[i].append(pp::sigmoid(logits[b]), labels[b], stamps[b]);
       }
       x_buf.clear();
+      hidden_rows.clear();
       labels.clear();
       stamps.clear();
     };
@@ -456,12 +465,12 @@ ScoredSeries replay_users(const RnnNetwork& network,
                         static_cast<std::size_t>(applied) *
                             seq.update_inputs.cols(),
                     seq.update_inputs.cols() * sizeof(float));
-        path.update(x);
+        network.infer_update(state, x);
         ++applied;
       }
       const std::int64_t ts = seq.timestamps[p];
       if (ts < emit_from || (emit_to != 0 && ts >= emit_to)) continue;
-      path.gather_hidden();
+      hidden_rows.push_back(state.hidden());
       const float* row = seq.predict_inputs.data() + p * pred_cols;
       x_buf.insert(x_buf.end(), row, row + pred_cols);
       labels.push_back(seq.labels[p]);
@@ -481,68 +490,6 @@ ScoredSeries replay_users(const RnnNetwork& network,
   return out;
 }
 
-/// f32 numerics: decoded hidden rows, f32 GRU update, batched
-/// infer_logits head. Row b of a block equals the same row scored alone
-/// (GEMM row independence), so blocking is bit-transparent.
-struct F32ReplayPath {
-  const RnnNetwork& network;
-  InferenceState state;
-  std::size_t hidden_cols;
-  std::vector<float> h_buf;
-
-  explicit F32ReplayPath(const RnnNetwork& net)
-      : network(net),
-        state(net.infer_initial_state()),
-        hidden_cols(net.config().hidden_size) {}
-
-  void update(const Matrix& x) { network.infer_update(state, x); }
-  void gather_hidden() {
-    const float* hidden = state.hidden().data();
-    h_buf.insert(h_buf.end(), hidden, hidden + hidden_cols);
-  }
-  std::vector<double> infer_block(std::size_t n, const Matrix& x_block) {
-    Matrix h_block(n, hidden_cols, std::move(h_buf));
-    h_buf.clear();
-    return network.infer_logits(h_block, x_block);
-  }
-};
-
-/// Int8 numerics: the gathered hidden snapshots are the stored bytes
-/// themselves (per-row scales), the update is the quantized GRU step, and
-/// the head runs on the int8 kernels — exactly what the kInt8 serving
-/// mode produces, block-size independent thanks to per-row quantization.
-struct Q8ReplayPath {
-  const RnnNetwork& network;
-  QuantizedInferenceState state;
-  std::size_t hidden_cols;
-  std::vector<std::int8_t> h_bytes;
-  std::vector<float> h_scales;
-
-  explicit Q8ReplayPath(const RnnNetwork& net)
-      : network(net),
-        state(net.infer_initial_state_q8()),
-        hidden_cols(net.config().hidden_size) {}
-
-  void update(const Matrix& x) { network.infer_update_q8(state, x); }
-  void gather_hidden() {
-    const tensor::QuantizedMatrix& hidden = state.hidden();
-    h_bytes.insert(h_bytes.end(), hidden.data(),
-                   hidden.data() + hidden_cols);
-    h_scales.push_back(hidden.scale());
-  }
-  std::vector<double> infer_block(std::size_t n, const Matrix& x_block) {
-    tensor::QuantizedMatrix h_block(n, hidden_cols);
-    for (std::size_t b = 0; b < n; ++b) {
-      std::memcpy(h_block.row_data(b), h_bytes.data() + b * hidden_cols,
-                  hidden_cols);
-      h_block.set_row_scale(b, h_scales[b]);
-    }
-    h_bytes.clear();
-    h_scales.clear();
-    return network.infer_logits_q8(h_block, x_block);
-  }
-};
-
 }  // namespace
 
 ScoredSeries score_users(const RnnNetwork& network,
@@ -551,9 +498,8 @@ ScoredSeries score_users(const RnnNetwork& network,
                          const SequenceConfig& sequence_config,
                          bool timeshift, std::int64_t emit_from,
                          std::int64_t emit_to, std::size_t num_threads) {
-  return replay_users<F32ReplayPath>(network, dataset, user_indices,
-                                     sequence_config, timeshift, emit_from,
-                                     emit_to, num_threads);
+  return replay_users<F32>(network, dataset, user_indices, sequence_config,
+                          timeshift, emit_from, emit_to, num_threads);
 }
 
 ScoredSeries score_users_q8(const RnnNetwork& network,
@@ -562,13 +508,8 @@ ScoredSeries score_users_q8(const RnnNetwork& network,
                             const SequenceConfig& sequence_config,
                             bool timeshift, std::int64_t emit_from,
                             std::int64_t emit_to, std::size_t num_threads) {
-  if (!network.quantized_ready()) {
-    throw std::logic_error(
-        "score_users_q8: call prepare_quantized() on the network first");
-  }
-  return replay_users<Q8ReplayPath>(network, dataset, user_indices,
-                                    sequence_config, timeshift, emit_from,
-                                    emit_to, num_threads);
+  return replay_users<Int8>(network, dataset, user_indices, sequence_config,
+                           timeshift, emit_from, emit_to, num_threads);
 }
 
 void ScoredSeries::append_series(const ScoredSeries& other) {

@@ -36,10 +36,11 @@ data::Dataset quant_dataset(std::size_t users, int days) {
 }
 
 models::RnnModel make_model(const data::Dataset& dataset,
-                            std::size_t hidden = 16) {
+                            std::size_t hidden = 16, int layers = 1) {
   models::RnnModelConfig config;
   config.hidden_size = hidden;
   config.mlp_hidden = hidden;
+  config.num_layers = layers;
   models::RnnModel model(dataset, config);
   model.enable_quantized_serving();
   return model;
@@ -129,48 +130,65 @@ TEST(QuantizedPredictHead, BatchedMatchesSingleExactly) {
 
 TEST(HiddenStoreQ8, RawAccessorsInteropWithInt8Codec) {
   const auto dataset = quant_dataset(4, 3);
-  const models::RnnModel model = make_model(dataset, 8);
-  const train::RnnNetwork& net = model.network();
+  // Single-layer and stacked GRUs: every layer's record round-trips.
+  for (const int layers : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "num_layers=" << layers);
+    const models::RnnModel model = make_model(dataset, 8, layers);
+    const train::RnnNetwork& net = model.network();
 
-  LocalKvStore kv;
-  HiddenStateStore store(kv, StateCodec::kInt8);
+    LocalKvStore kv;
+    HiddenStateStore store(kv, StateCodec::kInt8);
 
-  // put (f32 encode) -> get_q8: the raw bytes equal the codec's encoding.
-  StoredState f32_state;
-  f32_state.state = net.infer_initial_state();
-  Rng rng(3);
-  f32_state.state.layers[0][0] = tensor::Matrix::randn(1, 8, rng, 0.0f, 0.4f);
-  f32_state.last_update_time = 777;
-  f32_state.updates = 3;
-  store.put(1, f32_state);
-  const auto q8 = store.get_q8(1, net);
-  ASSERT_TRUE(q8.has_value());
-  EXPECT_EQ(q8->last_update_time, 777);
-  EXPECT_EQ(q8->updates, 3u);
-  const tensor::QuantizedMatrix expected =
-      tensor::QuantizedMatrix::quantize(f32_state.state.layers[0][0]);
-  EXPECT_EQ(q8->state.hidden().storage(), expected.storage());
-  EXPECT_EQ(q8->state.hidden().scale(), expected.scale());
+    // put (f32 encode) -> get_q8: the raw bytes equal the codec's encoding.
+    StoredState f32_state;
+    f32_state.state = net.infer_initial_state();
+    Rng rng(3);
+    for (auto& layer : f32_state.state.layers) {
+      layer[0] = tensor::Matrix::randn(1, 8, rng, 0.0f, 0.4f);
+    }
+    f32_state.last_update_time = 777;
+    f32_state.updates = 3;
+    store.put(1, f32_state);
+    const auto q8 = store.get_q8(1, net);
+    ASSERT_TRUE(q8.has_value());
+    EXPECT_EQ(q8->last_update_time, 777);
+    EXPECT_EQ(q8->updates, 3u);
+    const tensor::QuantizedMatrix expected =
+        tensor::QuantizedMatrix::quantize(f32_state.state.hidden());
+    EXPECT_EQ(q8->state.hidden().storage(), expected.storage());
+    EXPECT_EQ(q8->state.hidden().scale(), expected.scale());
+    for (std::size_t l = 0; l < f32_state.state.layers.size(); ++l) {
+      const tensor::QuantizedMatrix layer =
+          tensor::QuantizedMatrix::quantize(f32_state.state.layers[l][0]);
+      EXPECT_EQ(q8->state.layers[l].storage(), layer.storage())
+          << "layer " << l;
+      EXPECT_EQ(q8->state.layers[l].scale(), layer.scale()) << "layer " << l;
+    }
 
-  // put_q8 -> get: the f32 API decodes the same record.
-  QuantizedStoredState back = *q8;
-  back.updates = 4;
-  store.put_q8(2, back);
-  const auto decoded = store.get(2, net);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->updates, 4u);
-  EXPECT_EQ(decoded->state.hidden(), q8->state.hidden().dequantize());
+    // put_q8 -> get: the f32 API decodes the same record.
+    QuantizedStoredState back = *q8;
+    back.updates = 4;
+    store.put_q8(2, back);
+    const auto decoded = store.get(2, net);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->updates, 4u);
+    EXPECT_EQ(decoded->state.hidden(), q8->state.hidden().dequantize());
+    for (std::size_t l = 0; l < q8->state.layers.size(); ++l) {
+      EXPECT_EQ(decoded->state.layers[l][0], q8->state.layers[l].dequantize())
+          << "layer " << l;
+    }
 
-  // Cold user and codec guard.
-  EXPECT_FALSE(store.get_q8(99, net).has_value());
-  LocalKvStore kv_f32;
-  HiddenStateStore wrong(kv_f32, StateCodec::kFloat32);
-  EXPECT_THROW(wrong.get_q8(1, net), std::logic_error);
+    // Cold user and codec guard.
+    EXPECT_FALSE(store.get_q8(99, net).has_value());
+    LocalKvStore kv_f32;
+    HiddenStateStore wrong(kv_f32, StateCodec::kFloat32);
+    EXPECT_THROW(wrong.get_q8(1, net), std::logic_error);
 
-  // Geometry guard: a record written by a differently-sized model must
-  // fail loudly instead of feeding an out-of-bounds read downstream.
-  const models::RnnModel other = make_model(dataset, 16);
-  EXPECT_THROW(store.get_q8(1, other.network()), std::runtime_error);
+    // Geometry guard: a record written by a differently-sized model must
+    // fail loudly instead of feeding an out-of-bounds read downstream.
+    const models::RnnModel other = make_model(dataset, 16, layers);
+    EXPECT_THROW(store.get_q8(1, other.network()), std::runtime_error);
+  }
 }
 
 TEST(RnnPolicyInt8, ConstructionGuards) {
@@ -203,49 +221,54 @@ TEST(RnnPolicyInt8, ConstructionGuards) {
 
 TEST(RnnPolicyInt8, BatchedScoringMatchesSingleExactly) {
   const auto dataset = quant_dataset(30, 5);
-  const models::RnnModel model = make_model(dataset);
+  // Single-layer and stacked GRUs: the int8 multi-layer carry and the
+  // per-layer raw records run through the same batched path.
+  for (const int layers : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "num_layers=" << layers);
+    const models::RnnModel model = make_model(dataset, 16, layers);
 
-  LocalKvStore kv_seq, kv_batch;
-  HiddenStateStore store_seq(kv_seq, StateCodec::kInt8);
-  HiddenStateStore store_batch(kv_batch, StateCodec::kInt8);
-  RnnPolicy sequential(model, store_seq, ScorePrecision::kInt8);
-  RnnPolicy batched(model, store_batch, ScorePrecision::kInt8);
+    LocalKvStore kv_seq, kv_batch;
+    HiddenStateStore store_seq(kv_seq, StateCodec::kInt8);
+    HiddenStateStore store_batch(kv_batch, StateCodec::kInt8);
+    RnnPolicy sequential(model, store_seq, ScorePrecision::kInt8);
+    RnnPolicy batched(model, store_batch, ScorePrecision::kInt8);
 
-  for (std::uint64_t u = 0; u < 8; ++u) {
-    for (int s = 0; s < 2; ++s) {
-      JoinedSession joined;
-      joined.session_id = u * 10 + static_cast<std::uint64_t>(s);
-      joined.user_id = u;
-      joined.session_start =
-          1000000 + static_cast<std::int64_t>(u) * 500 + s * 7200;
-      joined.context = {static_cast<std::uint32_t>(u % 5), 1, 0, 0};
-      joined.access = (u + static_cast<std::uint64_t>(s)) % 2 == 0;
-      sequential.on_session_complete(joined);
-      batched.on_session_complete(joined);
+    for (std::uint64_t u = 0; u < 8; ++u) {
+      for (int s = 0; s < 2; ++s) {
+        JoinedSession joined;
+        joined.session_id = u * 10 + static_cast<std::uint64_t>(s);
+        joined.user_id = u;
+        joined.session_start =
+            1000000 + static_cast<std::int64_t>(u) * 500 + s * 7200;
+        joined.context = {static_cast<std::uint32_t>(u % 5), 1, 0, 0};
+        joined.access = (u + static_cast<std::uint64_t>(s)) % 2 == 0;
+        sequential.on_session_complete(joined);
+        batched.on_session_complete(joined);
+      }
     }
-  }
 
-  std::vector<SessionStart> starts;
-  for (std::uint64_t u = 0; u < 16; ++u) {
-    SessionStart s;
-    s.session_id = 100 + u;
-    s.user_id = u;
-    s.t = 1100000 + static_cast<std::int64_t>(u) * 333;
-    s.context = {static_cast<std::uint32_t>(u % 7), 0, 0, 0};
-    starts.push_back(s);
+    std::vector<SessionStart> starts;
+    for (std::uint64_t u = 0; u < 16; ++u) {
+      SessionStart s;
+      s.session_id = 100 + u;
+      s.user_id = u;
+      s.t = 1100000 + static_cast<std::int64_t>(u) * 333;
+      s.context = {static_cast<std::uint32_t>(u % 7), 0, 0, 0};
+      starts.push_back(s);
+    }
+    const std::vector<double> batch_scores = batched.score_sessions(starts);
+    ASSERT_EQ(batch_scores.size(), starts.size());
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      EXPECT_EQ(batch_scores[i],
+                sequential.score_session(starts[i].user_id, starts[i].t,
+                                         starts[i].context))
+          << "session " << i;
+    }
+    EXPECT_EQ(batched.cost_summary().predictions,
+              sequential.cost_summary().predictions);
+    EXPECT_EQ(batched.cost_summary().model_flops,
+              sequential.cost_summary().model_flops);
   }
-  const std::vector<double> batch_scores = batched.score_sessions(starts);
-  ASSERT_EQ(batch_scores.size(), starts.size());
-  for (std::size_t i = 0; i < starts.size(); ++i) {
-    EXPECT_EQ(batch_scores[i],
-              sequential.score_session(starts[i].user_id, starts[i].t,
-                                       starts[i].context))
-        << "session " << i;
-  }
-  EXPECT_EQ(batched.cost_summary().predictions,
-            sequential.cost_summary().predictions);
-  EXPECT_EQ(batched.cost_summary().model_flops,
-            sequential.cost_summary().model_flops);
 }
 
 /// Replays the held-out users' sessions chronologically through a policy:

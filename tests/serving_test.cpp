@@ -13,6 +13,7 @@
 #include "serving/online_experiment.hpp"
 #include "serving_test_util.hpp"
 #include "util/math.hpp"
+#include "util/serialize.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pp::serving {
@@ -272,6 +273,41 @@ TEST(HiddenStore, GetRejectsRecordsFromDifferentlySizedModel) {
   EXPECT_THROW(store.get(1, big.network()), std::runtime_error);
 }
 
+TEST(HiddenStore, GetRejectsRecordsWithWrongPartCount) {
+  // Each layer's part count must match the model's cell (1 for GRU/tanh,
+  // 2 for LSTM): serving reads hidden() = front() of every layer and the
+  // LSTM step indexes state[1], so a short record must throw here.
+  data::MobileTabConfig config;
+  config.num_users = 2;
+  config.days = 2;
+  const data::Dataset dataset = data::generate_mobile_tab(config);
+  models::RnnModelConfig gru_config, lstm_config;
+  gru_config.hidden_size = 8;
+  gru_config.mlp_hidden = 8;
+  lstm_config = gru_config;
+  lstm_config.cell = nn::CellType::kLstm;
+  const models::RnnModel gru(dataset, gru_config);
+  const models::RnnModel lstm(dataset, lstm_config);
+
+  LocalKvStore kv;
+  HiddenStateStore store(kv);
+  // A one-layer record with zero parts.
+  BinaryWriter empty;
+  empty.write_i64(100);
+  empty.write_u32(1);  // updates
+  empty.write_u32(1);  // layers
+  empty.write_u32(0);  // parts
+  kv.put("h:1", empty.take());
+  EXPECT_THROW(store.get(1, gru.network()), std::runtime_error);
+
+  // A GRU record (one part) read by an LSTM model of the same width.
+  StoredState state;
+  state.state = gru.network().infer_initial_state();
+  store.put(2, state);
+  EXPECT_TRUE(store.get(2, gru.network()).has_value());
+  EXPECT_THROW(store.get(2, lstm.network()), std::runtime_error);
+}
+
 TEST(HiddenStore, Int8QuartersTheFootprint) {
   data::MobileTabConfig config;
   config.num_users = 2;
@@ -415,65 +451,71 @@ TEST(RnnPolicy, BatchedScoringMatchesSequentialExactly) {
   config.num_users = 30;
   config.days = 5;
   const data::Dataset dataset = data::generate_mobile_tab(config);
-  models::RnnModelConfig rnn_config;
-  rnn_config.hidden_size = 16;
-  rnn_config.mlp_hidden = 16;
-  const models::RnnModel model(dataset, rnn_config);
+  // Single-layer and stacked GRUs: the multi-layer state carry and the
+  // per-layer store records run through the same batched path.
+  for (const int layers : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "num_layers=" << layers);
+    models::RnnModelConfig rnn_config;
+    rnn_config.hidden_size = 16;
+    rnn_config.mlp_hidden = 16;
+    rnn_config.num_layers = layers;
+    const models::RnnModel model(dataset, rnn_config);
 
-  LocalKvStore kv_seq, kv_batch;
-  HiddenStateStore store_seq(kv_seq), store_batch(kv_batch);
-  RnnPolicy sequential(model, store_seq);
-  RnnPolicy batched(model, store_batch);
+    LocalKvStore kv_seq, kv_batch;
+    HiddenStateStore store_seq(kv_seq), store_batch(kv_batch);
+    RnnPolicy sequential(model, store_seq);
+    RnnPolicy batched(model, store_batch);
 
-  // Warm both stores identically: a couple of completed sessions for the
-  // first 8 users; users 8+ stay cold.
-  for (std::uint64_t u = 0; u < 8; ++u) {
-    for (int s = 0; s < 2; ++s) {
-      JoinedSession joined;
-      joined.session_id = u * 10 + static_cast<std::uint64_t>(s);
-      joined.user_id = u;
-      joined.session_start = 1000000 + static_cast<std::int64_t>(u) * 500 +
-                             s * 7200;
-      joined.context = {static_cast<std::uint32_t>(u % 5), 1, 0, 0};
-      joined.access = (u + static_cast<std::uint64_t>(s)) % 2 == 0;
-      sequential.on_session_complete(joined);
-      batched.on_session_complete(joined);
+    // Warm both stores identically: a couple of completed sessions for the
+    // first 8 users; users 8+ stay cold.
+    for (std::uint64_t u = 0; u < 8; ++u) {
+      for (int s = 0; s < 2; ++s) {
+        JoinedSession joined;
+        joined.session_id = u * 10 + static_cast<std::uint64_t>(s);
+        joined.user_id = u;
+        joined.session_start = 1000000 + static_cast<std::int64_t>(u) * 500 +
+                               s * 7200;
+        joined.context = {static_cast<std::uint32_t>(u % 5), 1, 0, 0};
+        joined.access = (u + static_cast<std::uint64_t>(s)) % 2 == 0;
+        sequential.on_session_complete(joined);
+        batched.on_session_complete(joined);
+      }
     }
-  }
 
-  std::vector<SessionStart> starts;
-  for (std::uint64_t u = 0; u < 16; ++u) {
-    SessionStart s;
-    s.session_id = 100 + u;
-    s.user_id = u;
-    s.t = 1100000 + static_cast<std::int64_t>(u) * 333;
-    s.context = {static_cast<std::uint32_t>(u % 7), 0, 0, 0};
-    starts.push_back(s);
-  }
+    std::vector<SessionStart> starts;
+    for (std::uint64_t u = 0; u < 16; ++u) {
+      SessionStart s;
+      s.session_id = 100 + u;
+      s.user_id = u;
+      s.t = 1100000 + static_cast<std::int64_t>(u) * 333;
+      s.context = {static_cast<std::uint32_t>(u % 7), 0, 0, 0};
+      starts.push_back(s);
+    }
 
-  const std::vector<double> batch_scores = batched.score_sessions(starts);
-  ASSERT_EQ(batch_scores.size(), starts.size());
-  for (std::size_t i = 0; i < starts.size(); ++i) {
-    const double one = sequential.score_session(starts[i].user_id,
-                                                starts[i].t,
-                                                starts[i].context);
-    // Exact: GEMM rows are batch-independent, so batched scoring is
-    // bit-identical to per-session scoring.
-    EXPECT_EQ(batch_scores[i], one) << "session " << i;
-  }
+    const std::vector<double> batch_scores = batched.score_sessions(starts);
+    ASSERT_EQ(batch_scores.size(), starts.size());
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      const double one = sequential.score_session(starts[i].user_id,
+                                                  starts[i].t,
+                                                  starts[i].context);
+      // Exact: GEMM rows are batch-independent, so batched scoring is
+      // bit-identical to per-session scoring.
+      EXPECT_EQ(batch_scores[i], one) << "session " << i;
+    }
 
-  // The cost ledger must not notice the batching: same prediction count,
-  // same model FLOPs, same per-user KV traffic.
-  const ServingCostSummary cost_seq = sequential.cost_summary();
-  const ServingCostSummary cost_batch = batched.cost_summary();
-  EXPECT_EQ(cost_batch.predictions, cost_seq.predictions);
-  EXPECT_EQ(cost_batch.state_updates, cost_seq.state_updates);
-  EXPECT_EQ(cost_batch.model_flops, cost_seq.model_flops);
-  EXPECT_EQ(cost_batch.kv.lookups, cost_seq.kv.lookups);
-  EXPECT_EQ(cost_batch.kv.hits, cost_seq.kv.hits);
-  EXPECT_EQ(cost_batch.kv.bytes_read, cost_seq.kv.bytes_read);
-  EXPECT_EQ(cost_batch.storage_bytes, cost_seq.storage_bytes);
-  EXPECT_EQ(cost_batch.live_keys, cost_seq.live_keys);
+    // The cost ledger must not notice the batching: same prediction count,
+    // same model FLOPs, same per-user KV traffic.
+    const ServingCostSummary cost_seq = sequential.cost_summary();
+    const ServingCostSummary cost_batch = batched.cost_summary();
+    EXPECT_EQ(cost_batch.predictions, cost_seq.predictions);
+    EXPECT_EQ(cost_batch.state_updates, cost_seq.state_updates);
+    EXPECT_EQ(cost_batch.model_flops, cost_seq.model_flops);
+    EXPECT_EQ(cost_batch.kv.lookups, cost_seq.kv.lookups);
+    EXPECT_EQ(cost_batch.kv.hits, cost_seq.kv.hits);
+    EXPECT_EQ(cost_batch.kv.bytes_read, cost_seq.kv.bytes_read);
+    EXPECT_EQ(cost_batch.storage_bytes, cost_seq.storage_bytes);
+    EXPECT_EQ(cost_batch.live_keys, cost_seq.live_keys);
+  }
 }
 
 TEST(PrecomputePolicy, DefaultBatchedScoringLoopsScoreSession) {
