@@ -31,6 +31,11 @@ struct OpCase {
   std::function<Variable(const Variable&, const Variable&)> build;
 };
 
+// gtest prints a parameter into the registered test name; without these the
+// bytes of the name pointer and the std::function end up there, which differ
+// on every run under ASLR.
+void PrintTo(const OpCase& c, std::ostream* os) { *os << c.name; }
+
 class BinaryOpGradient : public ::testing::TestWithParam<OpCase> {};
 
 TEST_P(BinaryOpGradient, MatchesFiniteDifferences) {
@@ -64,6 +69,8 @@ struct UnaryCase {
   const char* name;
   std::function<Variable(const Variable&)> build;
 };
+
+void PrintTo(const UnaryCase& c, std::ostream* os) { *os << c.name; }
 
 class UnaryOpGradient : public ::testing::TestWithParam<UnaryCase> {};
 

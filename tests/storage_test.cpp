@@ -604,7 +604,10 @@ class ReplayJournalEquivalence
     : public ::testing::TestWithParam<AdmissionPolicy> {};
 
 TEST_P(ReplayJournalEquivalence, ReopenRebuildsBufferBitIdentically) {
-  TempDir dir("journal_eq");
+  // One directory per policy: ctest -j runs both instances at once.
+  TempDir dir(GetParam() == AdmissionPolicy::kFifoRecency
+                  ? "journal_eq_fifo"
+                  : "journal_eq_reservoir");
   const data::Dataset meta = online::testutil::drift_cohort(1, 1, 1000, 1);
   ReplayBufferConfig buffer_config;
   buffer_config.capacity = 16;
