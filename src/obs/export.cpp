@@ -1,6 +1,7 @@
 #include "obs/export.hpp"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <string>
 
@@ -38,7 +39,16 @@ void append_json_escaped(std::string& out, const std::string& s) {
   out += '"';
 }
 
-void append_double(std::string& out, double v) {
+// JSON has no literal for NaN or an infinity, so both render as null;
+// Prometheus text spells them NaN, +Inf and -Inf.
+void append_double(std::string& out, double v, bool prometheus) {
+  if (!std::isfinite(v)) {
+    out += !prometheus     ? "null"
+           : std::isnan(v) ? "NaN"
+           : v > 0         ? "+Inf"
+                           : "-Inf";
+    return;
+  }
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out += buf;
@@ -138,11 +148,11 @@ std::string render_json(const std::vector<MetricSnapshot>& snapshot) {
       out += ", \"max\": ";
       append_i64(out, m.hist.max);
       out += ", \"p50\": ";
-      append_double(out, m.hist.p50());
+      append_double(out, m.hist.p50(), false);
       out += ", \"p95\": ";
-      append_double(out, m.hist.p95());
+      append_double(out, m.hist.p95(), false);
       out += ", \"p99\": ";
-      append_double(out, m.hist.p99());
+      append_double(out, m.hist.p99(), false);
       out += ", \"buckets\": [";
       for (std::size_t b = 0; b < m.hist.buckets.size(); ++b) {
         if (b != 0) out += ", ";
@@ -155,7 +165,7 @@ std::string render_json(const std::vector<MetricSnapshot>& snapshot) {
       out += ']';
     } else {
       out += ", \"value\": ";
-      append_double(out, m.value);
+      append_double(out, m.value, false);
     }
     out += '}';
     if (i + 1 < snapshot.size()) out += ',';
@@ -218,7 +228,7 @@ std::string render_prometheus(const std::vector<MetricSnapshot>& snapshot) {
       out += m.name;
       append_prom_labels(out, m.labels);
       out += ' ';
-      append_double(out, m.value);
+      append_double(out, m.value, true);
       out += '\n';
     }
   }

@@ -182,15 +182,16 @@ const char* kind_name(MetricKind kind) {
   return "?";
 }
 
-}  // namespace
-
-MetricsRegistry::Entry& MetricsRegistry::get_or_create(std::string_view name,
-                                                       Labels labels,
-                                                       MetricKind kind) {
+void check_metric_name(std::string_view name) {
   if (!valid_metric_name(name)) {
     throw std::invalid_argument("obs: invalid metric name: " +
                                 std::string(name));
   }
+}
+
+/// Sorts by key and rejects invalid or repeated keys, so one label set
+/// has exactly one spelling.
+void canonicalize(MetricsRegistry::Labels& labels) {
   std::sort(labels.begin(), labels.end());
   for (std::size_t i = 0; i < labels.size(); ++i) {
     if (!valid_label_key(labels[i].first)) {
@@ -202,6 +203,15 @@ MetricsRegistry::Entry& MetricsRegistry::get_or_create(std::string_view name,
                                   labels[i].first);
     }
   }
+}
+
+}  // namespace
+
+MetricsRegistry::Entry& MetricsRegistry::get_or_create(std::string_view name,
+                                                       Labels labels,
+                                                       MetricKind kind) {
+  check_metric_name(name);
+  canonicalize(labels);
 
   // Canonical key: name \x1f k \x1e v \x1f k \x1e v ... (separators cannot
   // appear in valid names/keys, and make distinct label sets distinct keys).
@@ -257,6 +267,36 @@ LatencyHistogram& MetricsRegistry::histogram(std::string_view name,
               .histogram;
 }
 
+MetricsRegistry::View MetricsRegistry::add_view(Labels labels, ViewFn fn) {
+  canonicalize(labels);
+  auto key = std::make_unique<const Labels>(std::move(labels));
+  MutexLock lock(views_mutex_);
+  if (!views_.try_emplace(*key, std::move(fn)).second) {
+    throw std::invalid_argument("obs: a live view already has this label set");
+  }
+  return View(key.release(), ViewRemover{this});
+}
+
+void MetricsRegistry::remove_view(const Labels& labels) {
+  MutexLock lock(views_mutex_);
+  views_.erase(labels);
+}
+
+void MetricsRegistry::ViewRemover::operator()(const Labels* labels) const {
+  registry->remove_view(*labels);
+  delete labels;
+}
+
+void ViewSink::gauge(std::string_view name, double value) {
+  check_metric_name(name);
+  MetricSnapshot row;
+  row.name = std::string(name);
+  row.labels = labels_;
+  row.kind = MetricKind::kGauge;
+  row.value = value;
+  out_.push_back(std::move(row));
+}
+
 std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
   std::vector<MetricSnapshot> out;
   {
@@ -279,6 +319,13 @@ std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
           break;
       }
       out.push_back(std::move(snap));
+    }
+  }
+  {
+    MutexLock lock(views_mutex_);
+    for (const auto& [labels, fn] : views_) {
+      ViewSink sink(labels, out);
+      fn(sink);
     }
   }
   std::sort(out.begin(), out.end(),

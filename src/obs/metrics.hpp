@@ -1,7 +1,9 @@
 // Process-wide metrics layer: typed instruments (Counter / Gauge /
 // LatencyHistogram) addressed by name + static label set through a
-// MetricsRegistry, plus the timing helpers (ScopedTimer / TraceSpan /
-// SampledSection) that instrument the serving hot path as named stages.
+// MetricsRegistry, registry views that export a component's own *Stats
+// structs at snapshot time, plus the timing helpers (ScopedTimer /
+// TraceSpan / SampledSection) that instrument the serving hot path as
+// named stages.
 //
 // Observe-only contract:
 //   * Recording NEVER blocks the recorded path: Counter::inc, Gauge::set and
@@ -19,7 +21,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -88,7 +92,7 @@ class Counter {
   Shard shards_[kShards];
 };
 
-/// Last-write-wins double value (occupancy, ratios, bridged *Stats fields).
+/// Last-write-wins double value (occupancy, ratios).
 class Gauge {
  public:
   Gauge() = default;
@@ -180,6 +184,8 @@ struct MetricSnapshot {
   HistogramSnapshot hist;   // histogram
 };
 
+class ViewSink;
+
 /// Name + label-set → instrument. Lookup takes the registry mutex, so
 /// callers on hot paths resolve their instruments ONCE (constructor or
 /// function-local static) and keep the reference; the reference stays valid
@@ -203,9 +209,35 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name, Labels labels = {});
   LatencyHistogram& histogram(std::string_view name, Labels labels = {});
 
-  /// Point-in-time copy of every instrument, sorted by (name, labels) so
-  /// exporters emit families contiguously.
-  std::vector<MetricSnapshot> snapshot() const PP_EXCLUDES(mutex_);
+  /// Emits gauge rows into the sink when a snapshot is taken.
+  using ViewFn = std::function<void(ViewSink&)>;
+
+  /// Removes the view named by a View handle (below).
+  struct ViewRemover {
+    MetricsRegistry* registry = nullptr;
+    void operator()(const Labels* labels) const;
+  };
+  /// Move-only registration of a view. Destroying or resetting a live
+  /// handle removes the view; that takes the views lock, so it waits out
+  /// a snapshot running the view, and the view never runs after its
+  /// handle is gone.
+  using View = std::unique_ptr<const Labels, ViewRemover>;
+
+  /// Registers a view: every snapshot() calls `fn` and appends the gauge
+  /// rows it emits under `labels`. This is how a component exports numbers
+  /// it already keeps (its *Stats struct) without counting them twice;
+  /// `fn` must read them through accessors that are safe to call while the
+  /// component runs. Throws std::invalid_argument when a live view already
+  /// has the same label set (or on an invalid label key).
+  [[nodiscard]] View add_view(Labels labels, ViewFn fn)
+      PP_EXCLUDES(views_mutex_);
+
+  /// Point-in-time copy of every instrument plus every view's rows, sorted
+  /// by (name, labels) so exporters emit families contiguously. Views run
+  /// after the instrument mutex is released, so a view may itself resolve
+  /// instruments; never call this while holding a lock a view takes.
+  std::vector<MetricSnapshot> snapshot() const
+      PP_EXCLUDES(mutex_, views_mutex_);
 
   std::size_t size() const PP_EXCLUDES(mutex_);
 
@@ -226,11 +258,45 @@ class MetricsRegistry {
 
   Entry& get_or_create(std::string_view name, Labels labels, MetricKind kind)
       PP_EXCLUDES(mutex_);
+  void remove_view(const Labels& labels) PP_EXCLUDES(views_mutex_);
 
   mutable Mutex mutex_;
   std::unordered_map<std::string, Entry> entries_ PP_GUARDED_BY(mutex_);
   std::unordered_map<std::string, MetricKind> family_kind_
       PP_GUARDED_BY(mutex_);
+  /// Held while views run (snapshot) and while one is added or removed.
+  mutable Mutex views_mutex_;
+  std::map<Labels, ViewFn> views_ PP_GUARDED_BY(views_mutex_);
+};
+
+/// Collects the rows of one view during MetricsRegistry::snapshot().
+class ViewSink {
+ public:
+  ViewSink(const ViewSink&) = delete;
+  ViewSink& operator=(const ViewSink&) = delete;
+
+  /// One gauge row under the view's labels. Throws std::invalid_argument
+  /// on an invalid metric name.
+  void gauge(std::string_view name, double value);
+
+  /// One gauge per field of `stats`, named prefix + field name. `Stats`
+  /// lists its fields once, next to its definition, in a member
+  /// for_each_field(f) that calls f(name, value) for each.
+  template <class Stats>
+  void fields(std::string_view prefix, const Stats& stats) {
+    stats.for_each_field([&](std::string_view field, auto value) {
+      gauge(std::string(prefix).append(field), static_cast<double>(value));
+    });
+  }
+
+ private:
+  friend class MetricsRegistry;
+  ViewSink(const MetricsRegistry::Labels& labels,
+           std::vector<MetricSnapshot>& out)
+      : labels_(labels), out_(out) {}
+
+  const MetricsRegistry::Labels& labels_;
+  std::vector<MetricSnapshot>& out_;
 };
 
 // ---------------------------------------------------------------------------

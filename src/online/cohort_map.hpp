@@ -100,9 +100,12 @@ class CohortRegistryMap {
   /// creates the cohort, and wires a complete serving stack — KV store +
   /// hidden-state store + registry-backed policy + PrecomputeService with
   /// the completion listener feeding the cohort's learner (journal-first
-  /// when spec.replay_journal_dir is set). Throws std::invalid_argument
-  /// before any cohort state is created on a bad spec. The returned handle
-  /// is address-stable for the map's lifetime.
+  /// when spec.replay_journal_dir is set) — and attaches a view to
+  /// MetricsRegistry::global() that exports the stack's *Stats under
+  /// cohort=<id>. Throws std::invalid_argument before any cohort state is
+  /// created on a bad spec, and after it (no stack is added) when another
+  /// live map's tenant already exports under the same id. The returned
+  /// handle is address-stable for the map's lifetime.
   ServingStack& register_tenant(const TenantSpec& spec);
 
   /// nullptr when no stack was registered under the id (find() may still

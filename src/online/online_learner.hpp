@@ -27,8 +27,6 @@
 #include "util/mutex.hpp"
 
 namespace pp::obs {
-class Counter;
-class Gauge;
 class LatencyHistogram;
 }  // namespace pp::obs
 
@@ -37,9 +35,8 @@ namespace pp::online {
 struct OnlineLearnerConfig {
   ReplayBufferConfig buffer;
 
-  /// Cohort label on this learner's metrics (round latency, gate counters,
-  /// buffer occupancy). Observability only — no training behavior depends
-  /// on it.
+  /// Cohort label on this learner's round-latency histogram. Observability
+  /// only — no training behavior depends on it.
   std::string cohort = "default";
 
   // ---- incremental fit schedule (one round) ----
@@ -87,11 +84,25 @@ struct OnlineUpdateReport {
 
 struct OnlineLearnerStats {
   std::size_t observed_sessions = 0;
+  /// Sessions the replay buffer retains now (after eviction).
+  std::size_t buffer_sessions = 0;
   std::size_t rounds = 0;
   std::size_t skipped = 0;
   std::size_t publishes = 0;
   std::size_t rejects = 0;
   std::size_t rollbacks = 0;
+
+  /// Every field once, as f(name, value); exported as pp_online_<name>.
+  template <class F>
+  void for_each_field(F&& f) const {
+    f("observed_sessions", observed_sessions);
+    f("buffer_sessions", buffer_sessions);
+    f("rounds", rounds);
+    f("skipped", skipped);
+    f("publishes", publishes);
+    f("rejects", rejects);
+    f("rollbacks", rollbacks);
+  }
 };
 
 class OnlineLearner {
@@ -113,7 +124,9 @@ class OnlineLearner {
   OnlineUpdateReport run_update_round();
 
   const SessionReplayBuffer& buffer() const { return buffer_; }
-  OnlineLearnerStats stats() const;
+  /// Short locks only: never waits for an in-flight round, so a metrics
+  /// scrape can call it while the learner trains.
+  OnlineLearnerStats stats() const PP_EXCLUDES(stats_mutex_);
   const ModelRegistry& registry() const { return *registry_; }
 
   /// Persists / restores the learner's training state (shadow weights +
@@ -136,25 +149,26 @@ class OnlineLearner {
                      const data::Dataset& eval_ds,
                      std::span<const std::size_t> users,
                      std::int64_t emit_from, std::size_t* predictions) const;
+  /// ++stats_.*counter under the stats lock.
+  void count(std::size_t OnlineLearnerStats::*counter)
+      PP_EXCLUDES(stats_mutex_);
 
   OnlineLearnerConfig config_;
   ModelRegistry* registry_;
   data::Dataset meta_;  // schema + timing constants only, users empty
   SessionReplayBuffer buffer_;
-  // Observe-only instruments (process-global registry, resolved once in
+  // Observe-only round timer (process-global registry, resolved once in
   // the constructor, labeled cohort=config.cohort).
   obs::LatencyHistogram* obs_round_ns_ = nullptr;
-  obs::Counter* obs_gate_publish_ = nullptr;
-  obs::Counter* obs_gate_reject_ = nullptr;
-  obs::Counter* obs_gate_skip_ = nullptr;
-  obs::Gauge* obs_buffer_sessions_ = nullptr;
 
   mutable Mutex mutex_;
   /// Private trainable copy of the published model; never served.
   std::unique_ptr<models::RnnModel> shadow_ PP_GUARDED_BY(mutex_);
   /// Persistent trainer: Adam moments and step count survive rounds.
   std::unique_ptr<train::RnnTrainer> trainer_ PP_GUARDED_BY(mutex_);
-  OnlineLearnerStats stats_ PP_GUARDED_BY(mutex_);
+  /// Separate from mutex_, which a round holds for its whole fit.
+  mutable Mutex stats_mutex_;
+  OnlineLearnerStats stats_ PP_GUARDED_BY(stats_mutex_);
 };
 
 }  // namespace pp::online

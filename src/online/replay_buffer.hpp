@@ -63,6 +63,16 @@ struct ReplayBufferStats {
   std::size_t evicted_reservoir = 0;
   /// kReservoir only: observed sessions the sampler never admitted.
   std::size_t rejected_reservoir = 0;
+
+  /// Every field once, as f(name, value); exported as pp_replay_<name>.
+  template <class F>
+  void for_each_field(F&& f) const {
+    f("observed", observed);
+    f("evicted_user_cap", evicted_user_cap);
+    f("evicted_capacity", evicted_capacity);
+    f("evicted_reservoir", evicted_reservoir);
+    f("rejected_reservoir", rejected_reservoir);
+  }
 };
 
 /// Thread-safe: the serving tier adds from its completion callback while

@@ -165,6 +165,24 @@ ServingStack& CohortRegistryMap::register_tenant(const TenantSpec& spec) {
 
   if (spec.start_daemon) stack->start_daemon();
 
+  // Live export: every scrape reads this stack's *Stats through their
+  // thread-safe accessors, under the cohort label the learner's round
+  // timer already carries.
+  const ServingStack* self = stack.get();
+  stack->view_ = obs::MetricsRegistry::global().add_view(
+      {{"cohort", spec.id}}, [self](obs::ViewSink& sink) {
+        self->service_->export_stats(sink);
+        const Cohort& cohort = *self->cohort_;
+        sink.fields("pp_online_", cohort.learner().stats());
+        sink.fields("pp_replay_", cohort.buffer().stats());
+        sink.fields("pp_daemon_", cohort.daemon().stats());
+        if (const auto* durable =
+                dynamic_cast<const storage::DurableKvStore*>(self->kv_.get());
+            durable != nullptr) {
+          sink.fields("pp_durable_", durable->durable_stats());
+        }
+      });
+
   MutexLock lock(mutex_);
   const auto [it, inserted] = stacks_.emplace(spec.id, std::move(stack));
   if (!inserted) {

@@ -5,10 +5,11 @@
 // turns it into a ready ServingStack: KV store + hidden-state store +
 // registry-backed policy + PrecomputeService, completion listener feeding
 // the cohort's learner (journal-first when durable), daemon start/stop
-// through the handle. Every cross-field validation (duplicate id, bad KV
-// geometry, int8 precision without an int8 codec or int8 replicas) fails
-// at registration with std::invalid_argument — not at first use on a
-// serving thread.
+// through the handle, and a metrics-registry view (labelled cohort=<id>)
+// that exports the stack's *Stats on every scrape. Every cross-field
+// validation (duplicate id, bad KV geometry, int8 precision without an
+// int8 codec or int8 replicas) fails at registration with
+// std::invalid_argument — not at first use on a serving thread.
 //
 // Teardown order is encoded in the map's member order: stacks are
 // destroyed before cohorts (a policy may be mid-reference to its
@@ -19,6 +20,7 @@
 #include <memory>
 #include <string>
 
+#include "obs/metrics.hpp"
 #include "online/cohort_map.hpp"
 #include "serving/hidden_store.hpp"
 #include "serving/precompute_service.hpp"
@@ -120,6 +122,9 @@ class ServingStack {
   bool resumed_from_checkpoint_ = false;
   std::size_t replayed_journal_sessions_ = 0;
   bool daemon_started_ = false;
+  /// Declared last so it is destroyed first: no scrape reads the stack
+  /// once teardown begins.
+  obs::MetricsRegistry::View view_;
 };
 
 }  // namespace pp::online

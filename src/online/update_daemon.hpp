@@ -71,6 +71,21 @@ struct OnlineUpdateDaemonStats {
   std::size_t deferred_sessions = 0;
   std::size_t checkpoints = 0;
   std::size_t checkpoint_failures = 0;
+
+  /// Every field once, as f(name, value); exported as pp_daemon_<name>.
+  template <class F>
+  void for_each_field(F&& f) const {
+    f("wakeups", wakeups);
+    f("rounds_driven", rounds_driven);
+    f("rounds_ran", rounds_ran);
+    f("round_errors", round_errors);
+    f("publishes", publishes);
+    f("rollbacks", rollbacks);
+    f("deferred_interval", deferred_interval);
+    f("deferred_sessions", deferred_sessions);
+    f("checkpoints", checkpoints);
+    f("checkpoint_failures", checkpoint_failures);
+  }
 };
 
 /// Owns the background update thread for one OnlineLearner. Thread-safe;

@@ -32,6 +32,17 @@ struct KvStats {
   std::size_t bytes_read = 0;
   std::size_t bytes_written = 0;
 
+  /// Every field once, as f(name, value); exported as pp_kv_<name>.
+  template <class F>
+  void for_each_field(F&& f) const {
+    f("lookups", lookups);
+    f("hits", hits);
+    f("writes", writes);
+    f("deletes", deletes);
+    f("bytes_read", bytes_read);
+    f("bytes_written", bytes_written);
+  }
+
   KvStats& operator+=(const KvStats& other) {
     lookups += other.lookups;
     hits += other.hits;

@@ -5,9 +5,7 @@
 #include <stdexcept>
 
 #include "obs/export.hpp"
-#include "obs/stats_bridge.hpp"
 #include "online/tenant.hpp"
-#include "storage/durable_kv_store.hpp"
 #include "storage/durable_io.hpp"
 
 namespace pp::serving {
@@ -24,7 +22,7 @@ PolicyOutcome collect(PrecomputeService& service) {
   outcome.accesses = metrics.accesses();
   outcome.precision = metrics.precision();
   outcome.recall = metrics.recall();
-  outcome.costs = service.policy().cost_summary();
+  outcome.costs = service.cost_summary();
   outcome.joiner = service.joiner_stats();
   return outcome;
 }
@@ -76,6 +74,13 @@ OnlineExperimentResult run_online_experiment(
   PrecomputeService gbdt_service(gbdt_policy, config.gbdt_threshold,
                                  cohort.session_length, config.grace,
                                  cohort.start_time);
+  // The tenants export themselves; the GBDT arm gets the same view by hand.
+  const obs::MetricsRegistry::View gbdt_view =
+      obs::MetricsRegistry::global().add_view(
+          {{"cohort", "gbdt"}},
+          [&gbdt_service](obs::ViewSink& sink) {
+            gbdt_service.export_stats(sink);
+          });
 
   // Third arm: the same trained weights, but served through a registry and
   // continually refit from the arm's own joiner feed. The learner only
@@ -198,41 +203,8 @@ OnlineExperimentResult run_online_experiment(
     online_stack->flush_durable();
   }
 
-  // End-of-run export: bridge every arm's *Stats into the registry under
-  // arm= labels, then render one snapshot both ways. The hot-path
-  // histograms (stage latencies, gate counters) are already in the
-  // registry — this only adds the gauge view of the legacy counters.
-  auto& obs_registry = obs::MetricsRegistry::global();
-  const obs::BridgeLabels rnn_labels{{"arm", "rnn"}};
-  obs::bridge_kv_stats(obs_registry, rnn_stack.kv().stats(), rnn_labels);
-  obs::bridge_joiner_stats(obs_registry, result.rnn.joiner, rnn_labels);
-  obs::bridge_cost_summary(obs_registry, result.rnn.costs, rnn_labels);
-  const obs::BridgeLabels gbdt_labels{{"arm", "gbdt"}};
-  obs::bridge_kv_stats(obs_registry, gbdt_kv.stats(), gbdt_labels);
-  obs::bridge_joiner_stats(obs_registry, result.gbdt.joiner, gbdt_labels);
-  obs::bridge_cost_summary(obs_registry, result.gbdt.costs, gbdt_labels);
-  if (online_stack != nullptr) {
-    const obs::BridgeLabels online_labels{{"arm", "rnn_online"}};
-    obs::bridge_kv_stats(obs_registry, online_stack->kv().stats(),
-                         online_labels);
-    obs::bridge_joiner_stats(obs_registry, result.rnn_online.joiner,
-                             online_labels);
-    obs::bridge_cost_summary(obs_registry, result.rnn_online.costs,
-                             online_labels);
-    obs::bridge_learner_stats(obs_registry, result.learner, online_labels);
-    obs::bridge_replay_buffer_stats(obs_registry, learner->buffer().stats(),
-                                    online_labels);
-    if (config.use_update_daemon) {
-      obs::bridge_daemon_stats(obs_registry, result.daemon, online_labels);
-    }
-    if (auto* durable =
-            dynamic_cast<storage::DurableKvStore*>(&online_stack->kv());
-        durable != nullptr) {
-      obs::bridge_durable_kv_stats(obs_registry, durable->durable_stats(),
-                                   online_labels);
-    }
-  }
-  const auto metrics = obs_registry.snapshot();
+  // One snapshot, rendered both ways, while every arm's view is live.
+  const auto metrics = obs::MetricsRegistry::global().snapshot();
   result.metrics_json = obs::render_json(metrics);
   result.metrics_prometheus = obs::render_prometheus(metrics);
   return result;

@@ -605,4 +605,11 @@ void PrecomputeService::set_completion_listener(
   completion_listener_ = std::move(listener);
 }
 
+void PrecomputeService::export_stats(obs::ViewSink& sink) const {
+  const ServingCostSummary costs = cost_summary();
+  sink.fields("pp_cost_", costs);
+  sink.fields("pp_kv_", costs.kv);
+  sink.fields("pp_joiner_", joiner_stats());
+}
+
 }  // namespace pp::serving

@@ -25,6 +25,7 @@
 namespace pp::obs {
 class Counter;
 class LatencyHistogram;
+class ViewSink;
 }  // namespace pp::obs
 
 namespace pp::serving {
@@ -37,6 +38,17 @@ struct ServingCostSummary {
   KvStats kv;
   std::size_t storage_bytes = 0;
   std::size_t live_keys = 0;
+
+  /// Every scalar field once, as f(name, value); exported as
+  /// pp_cost_<name>. `kv` has its own visitor (pp_kv_<name>).
+  template <class F>
+  void for_each_field(F&& f) const {
+    f("predictions", predictions);
+    f("state_updates", state_updates);
+    f("model_flops", model_flops);
+    f("storage_bytes", storage_bytes);
+    f("live_keys", live_keys);
+  }
 
   double lookups_per_prediction() const {
     return predictions == 0 ? 0.0
@@ -320,6 +332,15 @@ class PrecomputeService {
     MutexLock guard(mutex_);
     return joiner_.stats();
   }
+  /// The policy's ledger, read under the service mutex so a policy whose
+  /// counters are plain fields (GbdtPolicy) is never read mid-update.
+  ServingCostSummary cost_summary() const {
+    MutexLock guard(mutex_);
+    return policy_->cost_summary();
+  }
+  /// Registry-view body for this service: pp_cost_*, pp_kv_* and
+  /// pp_joiner_* from cost_summary() and joiner_stats().
+  void export_stats(obs::ViewSink& sink) const;
   PrecomputePolicy& policy() { return *policy_; }
   double threshold() const { return threshold_; }
 

@@ -46,6 +46,20 @@ struct JoinerStats {
   std::size_t orphan_drops = 0;     // orphan slots expired without a context
   std::size_t late_accesses = 0;    // access after the timer fired
   std::size_t clock_rewinds = 0;    // advance_to() calls with now < clock
+
+  /// Every field once, as f(name, value); exported as pp_joiner_<name>.
+  template <class F>
+  void for_each_field(F&& f) const {
+    f("contexts", contexts);
+    f("accesses", accesses);
+    f("joined", joined);
+    f("duplicate_contexts", duplicate_contexts);
+    f("duplicate_accesses", duplicate_accesses);
+    f("orphan_accesses", orphan_accesses);
+    f("orphan_drops", orphan_drops);
+    f("late_accesses", late_accesses);
+    f("clock_rewinds", clock_rewinds);
+  }
 };
 
 class SessionJoiner {

@@ -8,22 +8,11 @@ namespace pp::storage {
 
 namespace {
 
-/// Compaction duration + the live dead-byte ratio over the whole log
-/// (sealed + active dead bytes over disk bytes) — the signal the
-/// compact_dead_ratio policy keys off, exported so an operator can see
-/// how close the store runs to its trigger.
-struct CompactionObs {
-  obs::LatencyHistogram* duration;
-  obs::Gauge* dead_ratio;
-};
-
-const CompactionObs& compaction_obs() {
-  static const CompactionObs instruments = [] {
-    auto& registry = obs::MetricsRegistry::global();
-    return CompactionObs{&registry.histogram("pp_storage_compaction_ns"),
-                         &registry.gauge("pp_storage_dead_byte_ratio")};
-  }();
-  return instruments;
+/// Compaction duration.
+obs::LatencyHistogram& compaction_ns() {
+  static obs::LatencyHistogram& hist =
+      obs::MetricsRegistry::global().histogram("pp_storage_compaction_ns");
+  return hist;
 }
 
 }  // namespace
@@ -204,7 +193,7 @@ void DurableKvStore::compact() {
 
 void DurableKvStore::compact_locked() {
   if (log_.segment_count() <= 1) return;
-  obs::ScopedTimer compaction_timer(compaction_obs().duration);
+  obs::ScopedTimer compaction_timer(&compaction_ns());
   // Stream every live record that sits in a sealed segment into the
   // compacted output; records already in the active segment keep their
   // location. Index updates are staged and applied only after the commit
@@ -237,13 +226,6 @@ bool DurableKvStore::compaction_due() const {
 }
 
 void DurableKvStore::maybe_trigger_compaction() {
-  // Refresh the exported ratio on every mutation that can move it (one
-  // relaxed store; the division is noise next to the append just done).
-  const std::uint64_t disk = log_.disk_bytes();
-  compaction_obs().dead_ratio->set(
-      disk == 0 ? 0.0
-                : static_cast<double>(dead_bytes_sealed_ + dead_bytes_active_) /
-                      static_cast<double>(disk));
   if (!compaction_due()) return;
   if (config_.background_compaction) {
     compaction_requested_ = true;

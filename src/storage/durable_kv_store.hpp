@@ -73,6 +73,30 @@ struct DurableKvStats {
   std::size_t crc_rejects = 0;
   std::size_t orphans_removed = 0;
   std::size_t rotations = 0;
+
+  /// Every field once, as f(name, value), then the derived dead-byte
+  /// ratio (dead over disk bytes, 0 on an empty log); exported as
+  /// pp_durable_<name>.
+  template <class F>
+  void for_each_field(F&& f) const {
+    f("segments", segments);
+    f("disk_bytes", disk_bytes);
+    f("live_record_bytes", live_record_bytes);
+    f("dead_bytes_sealed", dead_bytes_sealed);
+    f("dead_bytes_active", dead_bytes_active);
+    f("compactions", compactions);
+    f("compacted_bytes_reclaimed", compacted_bytes_reclaimed);
+    f("recovered_records", recovered_records);
+    f("torn_bytes_dropped", torn_bytes_dropped);
+    f("crc_rejects", crc_rejects);
+    f("orphans_removed", orphans_removed);
+    f("rotations", rotations);
+    f("dead_byte_ratio",
+      disk_bytes == 0 ? 0.0
+                      : static_cast<double>(dead_bytes_sealed +
+                                            dead_bytes_active) /
+                            static_cast<double>(disk_bytes));
+  }
 };
 
 class DurableKvStore final : public serving::KvStore {

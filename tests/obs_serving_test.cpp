@@ -1,16 +1,28 @@
 // Serving-side contract of the obs layer, in the `obs` ctest tier:
 // per-stage histograms actually populate from a scored batch, the stage
 // sums tile the batch wall, and — the observe-only guarantee — scores are
-// bit-identical with instrumentation on and off.
+// bit-identical with instrumentation on and off. Also the *Stats views:
+// a tenant's export is live, scoped to the tenant's lifetime, and has one
+// series per visitor field; a real end-of-run export is valid exposition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <map>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/generators.hpp"
+#include "features/examples.hpp"
 #include "obs/metrics.hpp"
+#include "obs_test_util.hpp"
+#include "online/tenant.hpp"
+#include "online_test_util.hpp"
 #include "serving/hidden_store.hpp"
+#include "serving/online_experiment.hpp"
 #include "serving/precompute_service.hpp"
 #include "util/thread_pool.hpp"
 
@@ -237,6 +249,198 @@ TEST_F(ObsServingTest, ThreadPoolReportsQueueDepthAndTaskWait) {
     }
   }
   EXPECT_TRUE(saw_depth);
+}
+
+// ------------------------------------------------------------ stats views
+
+using online::testutil::all_users;
+using online::testutil::drift_cohort;
+using online::testutil::small_rnn_config;
+
+/// Gauge rows of `snap` under exactly `labels`, by name.
+std::map<std::string, double> gauges_under(
+    const std::vector<obs::MetricSnapshot>& snap,
+    const obs::MetricsRegistry::Labels& labels) {
+  std::map<std::string, double> rows;
+  for (const auto& m : snap) {
+    if (m.kind != obs::MetricKind::kGauge || m.labels != labels) continue;
+    EXPECT_TRUE(rows.emplace(m.name, m.value).second) << "twice: " << m.name;
+  }
+  return rows;
+}
+
+/// Expects one row named prefix + field per visitor field of `stats`,
+/// equal to the field; returns the number of fields.
+template <class Stats>
+std::size_t expect_fields(const std::map<std::string, double>& rows,
+                          const std::string& prefix, const Stats& stats) {
+  std::size_t fields = 0;
+  stats.for_each_field([&](std::string_view field, auto value) {
+    ++fields;
+    const std::string name = prefix + std::string(field);
+    const auto it = rows.find(name);
+    if (it == rows.end()) {
+      ADD_FAILURE() << "no series " << name;
+      return;
+    }
+    EXPECT_EQ(it->second, static_cast<double>(value)) << name;
+  });
+  return fields;
+}
+
+/// Every *Stats struct of `stack` against its view rows: one row per field
+/// and no other row under the tenant's label set.
+void expect_stack_export(online::ServingStack& stack,
+                         const obs::MetricsRegistry::Labels& labels) {
+  const auto rows =
+      gauges_under(obs::MetricsRegistry::global().snapshot(), labels);
+  const ServingCostSummary costs = stack.service().cost_summary();
+  std::size_t fields = expect_fields(rows, "pp_cost_", costs);
+  fields += expect_fields(rows, "pp_kv_", costs.kv);
+  fields += expect_fields(rows, "pp_joiner_", stack.service().joiner_stats());
+  fields += expect_fields(rows, "pp_online_", stack.cohort().learner().stats());
+  fields += expect_fields(rows, "pp_replay_", stack.cohort().buffer().stats());
+  fields += expect_fields(rows, "pp_daemon_", stack.cohort().daemon().stats());
+  const auto* durable = dynamic_cast<storage::DurableKvStore*>(&stack.kv());
+  ASSERT_NE(durable, nullptr);
+  fields += expect_fields(rows, "pp_durable_", durable->durable_stats());
+  EXPECT_EQ(rows.size(), fields);
+}
+
+TEST(StatsViews, TenantExportIsLiveScopedAndComplete) {
+  const data::Dataset cohort = drift_cohort(6, 3, /*flip_day=*/1000, 700);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "pp_obs_views_live").string();
+  std::filesystem::remove_all(dir);
+  const obs::MetricsRegistry::Labels labels{{"cohort", "views_live"}};
+
+  struct Start {
+    std::int64_t t;
+    std::uint64_t user;
+    const data::Session* session;
+  };
+  std::vector<Start> stream;
+  for (const auto& user : cohort.users) {
+    for (const auto& s : user.sessions) {
+      stream.push_back({s.timestamp, user.user_id, &s});
+    }
+  }
+  std::stable_sort(stream.begin(), stream.end(),
+                   [](const Start& a, const Start& b) { return a.t < b.t; });
+
+  {
+    online::CohortRegistryMap tenants;
+    online::TenantSpec spec;
+    spec.id = "views_live";
+    spec.model = std::make_shared<models::RnnModel>(cohort, small_rnn_config());
+    spec.dataset_meta = &cohort;
+    spec.backend = storage::KvBackendSpec::durable_dir(dir);
+    online::ServingStack& stack = tenants.register_tenant(spec);
+    PrecomputeService& service = stack.service();
+
+    std::uint64_t session_id = 1;
+    const auto serve = [&](std::size_t from, std::size_t to) {
+      for (std::size_t i = from; i < to; ++i) {
+        service.on_session_start(session_id, stream[i].user, stream[i].t,
+                                 stream[i].session->context);
+        if (stream[i].session->access != 0) {
+          service.on_access(session_id,
+                            stream[i].t + cohort.session_length / 2);
+        }
+        ++session_id;
+      }
+      service.advance_to(stream[to - 1].t);
+    };
+
+    const std::size_t half = stream.size() / 2;
+    serve(0, half);
+    service.advance_to(0);  // one clock rewind, so that field is non-zero
+    ASSERT_EQ(service.joiner_stats().clock_rewinds, 1u);
+    expect_stack_export(stack, labels);
+    auto rows =
+        gauges_under(obs::MetricsRegistry::global().snapshot(), labels);
+    EXPECT_EQ(rows["pp_joiner_clock_rewinds"], 1.0);
+    const double predictions = rows["pp_cost_predictions"];
+    const double observed = rows["pp_online_observed_sessions"];
+    EXPECT_EQ(predictions, static_cast<double>(half));
+    EXPECT_GT(observed, 0.0);
+    EXPECT_GT(rows["pp_durable_disk_bytes"], 0.0);
+
+    // Live: the next scrape reads the structs again.
+    serve(half, stream.size());
+    expect_stack_export(stack, labels);
+    rows = gauges_under(obs::MetricsRegistry::global().snapshot(), labels);
+    EXPECT_EQ(rows["pp_cost_predictions"],
+              static_cast<double>(stream.size()));
+    EXPECT_GT(rows["pp_online_observed_sessions"], observed);
+
+    // One live view per label set.
+    EXPECT_THROW(obs::MetricsRegistry::global().add_view(
+                     labels, [](obs::ViewSink&) {}),
+                 std::invalid_argument);
+  }
+  // Scoped: the tenant's series leave with the map.
+  EXPECT_TRUE(
+      gauges_under(obs::MetricsRegistry::global().snapshot(), labels).empty());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(StatsViews, ExperimentExportIsValidAndCarriesNoStaleArm) {
+  const data::Dataset cohort = drift_cohort(8, 3, /*flip_day=*/1000, 500);
+  const data::Dataset pretrain = drift_cohort(8, 2, /*flip_day=*/1000, 1);
+  auto rnn_config = small_rnn_config();
+  rnn_config.epochs = 2;
+  models::RnnModel rnn(pretrain, rnn_config);
+  rnn.fit(pretrain, all_users(pretrain));
+  features::FeaturePipeline pipeline(cohort.schema, {},
+                                     features::gbdt_encoding());
+  const auto examples = features::build_session_examples(
+      pretrain, all_users(pretrain), pipeline, 0, 0, 1);
+  models::GbdtModel gbdt;
+  models::GbdtModelConfig gbdt_config;
+  gbdt_config.booster.num_rounds = 2;
+  gbdt_config.depth_search = false;
+  gbdt.fit(examples, examples, gbdt_config);
+
+  OnlineExperimentConfig config;
+  config.online_rnn_arm = true;
+  config.learner.min_train_sessions = 20;
+  config.learner.min_holdout_predictions = 10;
+  const OnlineExperimentResult with_online = run_online_experiment(
+      cohort, all_users(cohort), rnn, gbdt, pipeline, config);
+  obs::testutil::expect_valid_exposition(with_online.metrics_prometheus);
+  const std::string online_rounds =
+      "pp_online_rounds{cohort=\"rnn_online\"} " +
+      std::to_string(with_online.learner.rounds) + "\n";
+  EXPECT_GT(with_online.learner.rounds, 0u);
+  EXPECT_NE(with_online.metrics_prometheus.find(online_rounds),
+            std::string::npos);
+  for (const char* arm : {"rnn", "gbdt", "rnn_online"}) {
+    EXPECT_NE(with_online.metrics_prometheus.find(
+                  "pp_cost_predictions{cohort=\"" + std::string(arm) + "\"}"),
+              std::string::npos)
+        << arm;
+  }
+
+  // A second run without the online arm, in the same process: no view row
+  // of the first run's online arm survives into its export. The only
+  // rnn_online series left is the learner's round-timer histogram, a
+  // registry instrument that lives as long as the process.
+  config.online_rnn_arm = false;
+  const OnlineExperimentResult without_online = run_online_experiment(
+      cohort, all_users(cohort), rnn, gbdt, pipeline, config);
+  const std::string& text = without_online.metrics_prometheus;
+  obs::testutil::expect_valid_exposition(text);
+  std::size_t line_start = 0;
+  while (line_start < text.size()) {
+    const std::size_t line_end = text.find('\n', line_start);
+    const std::string line = text.substr(line_start, line_end - line_start);
+    line_start = line_end + 1;
+    if (line.find("\"rnn_online\"") == std::string::npos) continue;
+    EXPECT_EQ(line.rfind("pp_online_round_ns", 0), 0u) << "stale: " << line;
+  }
+  EXPECT_NE(text.find("pp_cost_predictions{cohort=\"gbdt\"}"),
+            std::string::npos);
 }
 
 }  // namespace

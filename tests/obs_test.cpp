@@ -1,21 +1,22 @@
 // Correctness suite for the metrics layer (src/obs/): histogram bucket
 // math and percentile error bounds, lock-free recording under threads,
-// registry addressing/canonicalization/kind rules, and the two exposition
-// formats. Runs in the `obs` ctest tier.
+// registry addressing/canonicalization/kind rules, registry views, and the
+// two exposition formats. Runs in the `obs` ctest tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "obs/stats_bridge.hpp"
-#include "serving/kv_store.hpp"
+#include "obs_test_util.hpp"
 
 namespace pp::obs {
 namespace {
@@ -229,6 +230,53 @@ TEST(MetricsRegistry, SnapshotIsSortedAndComplete) {
   EXPECT_EQ(snap[3].labels[0].second, "x");
 }
 
+// ------------------------------------------------------------------ views
+
+TEST(MetricsRegistry, ViewRowsAreLiveAndLeaveWithTheirHandle) {
+  MetricsRegistry registry;
+  registry.gauge("pp_shared").set(1.0);
+  double source = 2.0;
+  {
+    MetricsRegistry::View view = registry.add_view(
+        {{"owner", "a"}}, [&source](ViewSink& sink) {
+          sink.gauge("pp_shared", source);
+        });
+    auto snap = registry.snapshot();
+    ASSERT_EQ(snap.size(), 2u);
+    // Sorted with the instruments: unlabeled row first, then owner=a.
+    EXPECT_EQ(snap[1].name, "pp_shared");
+    EXPECT_EQ(snap[1].kind, MetricKind::kGauge);
+    ASSERT_EQ(snap[1].labels.size(), 1u);
+    EXPECT_EQ(snap[1].labels[0].second, "a");
+    EXPECT_EQ(snap[1].value, 2.0);
+    // Every snapshot reads the source again.
+    source = 3.0;
+    EXPECT_EQ(registry.snapshot()[1].value, 3.0);
+
+    // A moved-from handle unregisters nothing.
+    MetricsRegistry::View moved = std::move(view);
+    EXPECT_EQ(registry.snapshot().size(), 2u);
+  }
+  EXPECT_EQ(registry.snapshot().size(), 1u);
+}
+
+TEST(MetricsRegistry, DuplicateViewLabelsThrow) {
+  MetricsRegistry registry;
+  const auto noop = [](ViewSink&) {};
+  MetricsRegistry::View first =
+      registry.add_view({{"b", "2"}, {"a", "1"}}, noop);
+  // Same set in another order is the same set.
+  EXPECT_THROW(registry.add_view({{"a", "1"}, {"b", "2"}}, noop),
+               std::invalid_argument);
+  EXPECT_THROW(registry.add_view({{"bad-key", "v"}}, noop),
+               std::invalid_argument);
+  // A different set is a different view.
+  MetricsRegistry::View other = registry.add_view({{"a", "2"}}, noop);
+  // Once the first handle is gone its label set is free again.
+  first = MetricsRegistry::View();
+  EXPECT_NO_THROW(first = registry.add_view({{"a", "1"}, {"b", "2"}}, noop));
+}
+
 // ------------------------------------------------------ timing switches
 
 TEST(Sampling, PeriodOneSamplesEveryTick) {
@@ -300,6 +348,10 @@ TEST(Exporters, JsonIsWellFormedAndComplete) {
   MetricsRegistry registry;
   registry.counter("pp_requests_total", {{"code", "200"}}).inc(7);
   registry.gauge("pp_depth").set(2.5);
+  registry.gauge("pp_ratio_undefined")
+      .set(std::numeric_limits<double>::quiet_NaN());
+  registry.gauge("pp_ratio_unbounded")
+      .set(std::numeric_limits<double>::infinity());
   auto& h = registry.histogram("pp_lat_ns", {{"stage", "a\"b\\c\n"}});
   h.record(100);
   h.record(200);
@@ -317,6 +369,15 @@ TEST(Exporters, JsonIsWellFormedAndComplete) {
   // The quote, backslash and newline in the label value must be escaped —
   // a raw one would break the document.
   EXPECT_NE(json.find("a\\\"b\\\\c\\n"), std::string::npos);
+  // JSON has no NaN or Inf literal: both non-finite gauges render null.
+  EXPECT_NE(json.find("\"pp_ratio_undefined\", \"labels\": {}, \"type\": "
+                      "\"gauge\", \"value\": null}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"pp_ratio_unbounded\", \"labels\": {}, \"type\": "
+                      "\"gauge\", \"value\": null}"),
+            std::string::npos);
+  EXPECT_EQ(json.find("nan"), std::string::npos);
+  EXPECT_EQ(json.find("inf"), std::string::npos);
 }
 
 TEST(Exporters, PrometheusExpositionFormatIsValid) {
@@ -324,6 +385,12 @@ TEST(Exporters, PrometheusExpositionFormatIsValid) {
   registry.counter("pp_requests_total", {{"code", "200"}}).inc(3);
   registry.counter("pp_requests_total", {{"code", "500"}}).inc(1);
   registry.gauge("pp_depth").set(4.0);
+  registry.gauge("pp_ratio_undefined")
+      .set(std::numeric_limits<double>::quiet_NaN());
+  registry.gauge("pp_ratio_unbounded")
+      .set(std::numeric_limits<double>::infinity());
+  registry.gauge("pp_ratio_unbounded_below")
+      .set(-std::numeric_limits<double>::infinity());
   auto& h = registry.histogram("pp_lat_ns");
   h.record(5);
   h.record(5000);
@@ -369,6 +436,13 @@ TEST(Exporters, PrometheusExpositionFormatIsValid) {
   // line in the middle, final newline present.
   EXPECT_EQ(text.back(), '\n');
   EXPECT_EQ(text.find("\n\n"), std::string::npos);
+
+  // Non-finite gauges use the format's own spellings.
+  EXPECT_NE(text.find("\npp_ratio_undefined NaN\n"), std::string::npos);
+  EXPECT_NE(text.find("\npp_ratio_unbounded +Inf\n"), std::string::npos);
+  EXPECT_NE(text.find("\npp_ratio_unbounded_below -Inf\n"),
+            std::string::npos);
+  testutil::expect_valid_exposition(text);
 }
 
 TEST(Exporters, PrometheusEscapesLabelValues) {
@@ -376,37 +450,6 @@ TEST(Exporters, PrometheusEscapesLabelValues) {
   registry.counter("pp_esc_total", {{"path", "a\\b\"c\nd"}}).inc(1);
   const std::string text = render_prometheus(registry);
   EXPECT_NE(text.find("path=\"a\\\\b\\\"c\\nd\""), std::string::npos);
-}
-
-// ------------------------------------------------------------ stats bridge
-
-TEST(StatsBridge, ShardedKvBridgesAggregateAndPerShard) {
-  serving::ShardedKvStore store(4);
-  store.put("alpha", {1, 2, 3});
-  store.put("beta", {4});
-  store.get("alpha");
-  MetricsRegistry registry;
-  bridge_sharded_kv_stats(registry, store, {{"arm", "test"}});
-  const auto snap = registry.snapshot();
-  double aggregate_writes = -1;
-  double shard_writes = 0;
-  std::size_t shard_series = 0;
-  for (const auto& m : snap) {
-    if (m.name != "pp_kv_writes") continue;
-    bool per_shard = false;
-    for (const auto& [k, v] : m.labels) {
-      if (k == "shard") per_shard = true;
-    }
-    if (per_shard) {
-      ++shard_series;
-      shard_writes += m.value;
-    } else {
-      aggregate_writes = m.value;
-    }
-  }
-  EXPECT_EQ(aggregate_writes, 2.0);
-  EXPECT_EQ(shard_series, store.num_shards());
-  EXPECT_EQ(shard_writes, 2.0);  // every write in exactly one shard
 }
 
 }  // namespace

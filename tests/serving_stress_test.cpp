@@ -2,18 +2,22 @@
 // threaded + sharded replays asserting bit-identical parity with the
 // sequential path, and the pool-worker-driver deadlock regression. Split
 // out of serving_test so ci/check.sh can fail fast on the cheap tiers
-// before paying for these.
+// before paying for these. Also metrics scrapes racing a serving tenant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <thread>
 
 #include "data/generators.hpp"
+#include "obs/export.hpp"
+#include "online/tenant.hpp"
+#include "online_test_util.hpp"
 #include "serving/precompute_service.hpp"
 #include "serving_test_util.hpp"
 #include "util/thread_pool.hpp"
@@ -210,6 +214,126 @@ TEST(PrecomputeService, SessionStartsFromPoolWorkerDoesNotDeadlock) {
   EXPECT_EQ(service.metrics().predictions(), 0u);  // recorded at join
   service.flush();
   EXPECT_EQ(service.metrics().predictions(), 18u);
+}
+
+struct TenantRun {
+  std::vector<bool> decisions;
+  online::OnlineLearnerStats learner;
+  std::size_t scrapes = 0;
+};
+
+/// Serves a drift cohort through a registered tenant in time-ordered
+/// batches fanned out on a 2-worker pool. The tenant's daemon runs one
+/// learner round per event-time day (driven, so the schedule is
+/// deterministic). With `scrape`, another thread renders the global
+/// registry, and so runs the tenant's view, in a loop the whole time.
+TenantRun serve_tenant(const std::string& id, bool scrape) {
+  static const std::shared_ptr<models::RnnModel> trained =
+      online::testutil::trained_drift_model();
+  const data::Dataset cohort =
+      online::testutil::drift_cohort(12, 4, /*flip_day=*/2, 900);
+
+  online::CohortRegistryMap tenants;
+  online::TenantSpec spec;
+  spec.id = id;
+  spec.model = std::shared_ptr<models::RnnModel>(trained->clone());
+  spec.dataset_meta = &cohort;
+  spec.backend = storage::KvBackendSpec::sharded(4);
+  spec.cohort.learner.min_train_sessions = 20;
+  spec.cohort.learner.min_holdout_predictions = 10;
+  spec.cohort.daemon.min_new_sessions =
+      std::numeric_limits<std::size_t>::max();
+  spec.cohort.daemon.min_round_interval = std::chrono::milliseconds(0);
+  spec.start_daemon = true;
+  online::ServingStack& stack = tenants.register_tenant(spec);
+
+  std::vector<SessionStart> stream;
+  std::vector<bool> access;
+  for (const auto& user : cohort.users) {
+    for (const auto& s : user.sessions) {
+      SessionStart start;
+      start.user_id = user.user_id;
+      start.t = s.timestamp;
+      start.context = s.context;
+      stream.push_back(start);
+      access.push_back(s.access != 0);
+    }
+  }
+  std::vector<std::size_t> order(stream.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&stream](std::size_t a, std::size_t b) {
+                     return stream[a].t < stream[b].t;
+                   });
+
+  TenantRun run;
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> scrapes{0};
+  std::thread scraper;
+  if (scrape) {
+    scraper = std::thread([&stop, &scrapes] {
+      while (!stop.load()) {
+        const std::string text =
+            obs::render_prometheus(obs::MetricsRegistry::global());
+        EXPECT_FALSE(text.empty());
+        scrapes.fetch_add(1);
+      }
+    });
+  }
+
+  ThreadPool pool(2);
+  std::int64_t next_round = 86400;
+  std::uint64_t session_id = 1;
+  constexpr std::size_t kBatch = 16;
+  for (std::size_t at = 0; at < order.size(); at += kBatch) {
+    std::vector<SessionStart> batch;
+    std::vector<bool> batch_access;
+    for (std::size_t i = at; i < std::min(at + kBatch, order.size()); ++i) {
+      SessionStart start = stream[order[i]];
+      start.session_id = session_id++;
+      batch.push_back(start);
+      batch_access.push_back(access[order[i]]);
+    }
+    if (batch.front().t >= next_round) {
+      stack.cohort().daemon().drive_round();
+      while (next_round <= batch.front().t) next_round += 86400;
+    }
+    const std::vector<bool> decisions =
+        stack.service().on_session_starts(batch, pool);
+    run.decisions.insert(run.decisions.end(), decisions.begin(),
+                         decisions.end());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (batch_access[i]) {
+        stack.service().on_access(batch[i].session_id,
+                                  batch[i].t + cohort.session_length / 2);
+      }
+    }
+  }
+  stack.service().flush();
+
+  if (scrape) {
+    // At least one scrape overlaps the run, however the threads schedule.
+    while (scrapes.load() == 0) std::this_thread::yield();
+    stop.store(true);
+    scraper.join();
+  }
+  run.learner = stack.cohort().learner().stats();
+  run.scrapes = scrapes.load();
+  return run;
+}
+
+TEST(StatsViews, ScrapingWhileServingIsObserveOnly) {
+  const TenantRun quiet = serve_tenant("scrape_off", /*scrape=*/false);
+  const TenantRun scraped = serve_tenant("scrape_on", /*scrape=*/true);
+  EXPECT_GT(scraped.scrapes, 0u);
+  // Rounds trained and gated while serving ran, not only skipped.
+  EXPECT_GT(quiet.learner.publishes + quiet.learner.rejects, 0u);
+  ASSERT_EQ(quiet.decisions.size(), scraped.decisions.size());
+  EXPECT_EQ(quiet.decisions, scraped.decisions);
+  EXPECT_EQ(quiet.learner.rounds, scraped.learner.rounds);
+  EXPECT_EQ(quiet.learner.publishes, scraped.learner.publishes);
+  EXPECT_EQ(quiet.learner.observed_sessions,
+            scraped.learner.observed_sessions);
 }
 
 }  // namespace
