@@ -186,20 +186,24 @@ run_tier '^(unit|obs|quant)$' "unit + obs + quant (fail fast)"
 
 # Forced-portable lane: on AVX2 runners the dispatcher resolves to the
 # SIMD kernels, which would leave the blocked fallback (the only path
-# non-AVX2 hosts ever run) untested. Re-run the kernel parity suite with
-# the portable kernel forced via the env override.
-echo "== tensor_gemm_test (PP_GEMM_FORCE_KERNEL=blocked, portable path) =="
-PP_GEMM_FORCE_KERNEL=blocked "${BUILD_DIR}/tensor_gemm_test" \
-  --gtest_brief=1
+# non-AVX2 hosts ever run) untested. Re-run the kernel parity suite and
+# the end-to-end int8 serving suite with the portable kernel forced via
+# the env override.
+for suite in tensor_gemm_test quantized_inference_test; do
+  echo "== ${suite} (PP_GEMM_FORCE_KERNEL=blocked, portable path) =="
+  PP_GEMM_FORCE_KERNEL=blocked "${BUILD_DIR}/${suite}" --gtest_brief=1
+done
 
 if [[ "${SANITIZE}" == asan || "${SANITIZE}" == address ]]; then
   # Packed-panel buffer overruns live only in the AVX2 TUs; force the
   # SIMD kernels on under ASan so tile/tail arithmetic is exercised with
   # redzones even if this runner's dispatch would pick them anyway (and
-  # loudly exercises the degrade path when it can't).
-  echo "== tensor_gemm_test (PP_GEMM_FORCE_KERNEL=simd, ASan) =="
-  PP_GEMM_FORCE_KERNEL=simd "${BUILD_DIR}/tensor_gemm_test" \
-    --gtest_brief=1
+  # loudly exercises the degrade path when it can't). The int8 serving
+  # suite reads the panels the int8 layers pack at load.
+  for suite in tensor_gemm_test quantized_inference_test; do
+    echo "== ${suite} (PP_GEMM_FORCE_KERNEL=simd, ASan) =="
+    PP_GEMM_FORCE_KERNEL=simd "${BUILD_DIR}/${suite}" --gtest_brief=1
+  done
 fi
 
 run_tier '^online$' "online"

@@ -104,12 +104,13 @@ class GruCell final : public RecurrentCell {
 };
 
 /// Int8 serving replica of a GruCell (§9 single-byte hidden states scored
-/// without an f32 round trip). Gate weights are quantized once at build
-/// (per-tensor symmetric int8); each step quantizes the incoming f32 input
-/// row(s), runs both gate products on the int8 qgemm kernel — the stored
-/// int8 hidden state feeds its product directly, no dequantized hidden
-/// matrix is ever formed for the GEMM — applies the f32 gate nonlinearity
-/// elementwise, and re-encodes only the updated hidden state.
+/// without an f32 round trip). Gate weights are quantized and packed once
+/// at build (per-tensor symmetric QuantizedWeights); each step quantizes
+/// the incoming f32 input row(s), runs both gate products on the int8
+/// qgemm kernel — the stored int8 hidden state feeds its product
+/// directly, no dequantized hidden matrix is ever formed for the GEMM —
+/// applies the f32 gate nonlinearity elementwise, and re-encodes only the
+/// updated hidden state.
 class QuantizedGruCell {
  public:
   explicit QuantizedGruCell(const GruCell& cell);
@@ -127,10 +128,10 @@ class QuantizedGruCell {
  private:
   std::size_t input_size_;
   std::size_t hidden_size_;
-  tensor::QuantizedMatrix wx_q_;  // int8 [input x 3*hidden]
-  tensor::QuantizedMatrix wh_q_;  // int8 [hidden x 3*hidden]
-  Matrix bx_;                     // f32 [1 x 3*hidden]
-  Matrix bh_;                     // f32 [1 x 3*hidden]
+  tensor::QuantizedWeights wx_q_;  // int8 [input x 3*hidden]
+  tensor::QuantizedWeights wh_q_;  // int8 [hidden x 3*hidden]
+  Matrix bx_;                      // f32 [1 x 3*hidden]
+  Matrix bh_;                      // f32 [1 x 3*hidden]
 };
 
 /// Standard LSTM with packed gates in (i, f, g, o) order and forget-gate

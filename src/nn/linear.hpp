@@ -1,8 +1,9 @@
 // Fully-connected layer y = x W + b with W stored [in x out] so the forward
 // pass is a single row-major matmul over [batch x in] inputs. QuantizedLinear
-// is its int8 serving twin: the weight is quantized once (per-tensor
-// symmetric), inputs arrive pre-quantized per row, and the product runs on
-// the int8 qgemm kernel — no f32 weight matrix exists at serve time.
+// is its int8 serving twin: the weight is quantized and packed once
+// (per-tensor symmetric QuantizedWeights), inputs arrive pre-quantized per
+// row, and the product runs on the int8 qgemm kernel — no f32 weight
+// matrix exists at serve time.
 #pragma once
 
 #include "autograd/ops.hpp"
@@ -36,9 +37,9 @@ class Linear : public Module {
 };
 
 /// Int8 replica of a Linear layer for the quantized serving path. Built
-/// once at load; the f32 weight is consumed into an int8 tensor and the
-/// bias stays f32 (added after the dequantizing epilogue, the usual int8
-/// inference convention).
+/// once at load; the f32 weight is consumed into packed int8 weights and
+/// the bias stays f32 (added after the dequantizing epilogue, the usual
+/// int8 inference convention).
 class QuantizedLinear {
  public:
   explicit QuantizedLinear(const Linear& layer);
@@ -50,11 +51,11 @@ class QuantizedLinear {
 
   std::size_t in_features() const { return weight_.rows(); }
   std::size_t out_features() const { return weight_.cols(); }
-  const tensor::QuantizedMatrix& weight() const { return weight_; }
+  const tensor::QuantizedMatrix& weight() const { return weight_.matrix(); }
 
  private:
-  tensor::QuantizedMatrix weight_;  // int8 [in x out]
-  tensor::Matrix bias_;             // f32 [1 x out]
+  tensor::QuantizedWeights weight_;  // int8 [in x out]
+  tensor::Matrix bias_;              // f32 [1 x out]
 };
 
 }  // namespace pp::nn

@@ -33,12 +33,30 @@ void nt_f32_range(const float* a, const float* b, float* c, std::size_t k,
                   std::size_t n, std::size_t i0, std::size_t i1);
 
 // int8 nn: c[i0:i1, :] += a[i0:i1, :] * b over int8 operands with exact
-// i32 accumulation (vpmaddubsw/vpmaddwd, u8 operand swizzle + 128*colsum
-// bias correction — see qgemm_avx2.cpp). Exact for the full int8 range
-// including -128; requires k <= kQGemmSimdMaxK.
+// i32 accumulation. `b` is the raw [k x n] weight bytes and `panel` the
+// same weights packed once into the vpmaddubsw layout below; each A row
+// reads whichever of the two suits its own sparsity (see qgemm_avx2.cpp).
+// Exact for the full int8 range including -128; requires
+// k <= kQGemmSimdMaxK.
 void nn_i8i32_range(const std::int8_t* a, const std::int8_t* b,
-                    std::int32_t* c, std::size_t k, std::size_t n,
-                    std::size_t i0, std::size_t i1);
+                    const unsigned char* panel, std::int32_t* c,
+                    std::size_t k, std::size_t n, std::size_t i0,
+                    std::size_t i1);
+
+// vpmaddubsw panel layout of a [k x n] int8 weight matrix (packed by
+// QuantizedWeights in qgemm.cpp, read by nn_i8i32_range). Columns come in
+// tiles of kQPanelCols, k in zero-padded quads of 4. Per tile, the lo
+// halves of all kq quads come first, then the hi halves; one quad's half
+// holds [column t][k-step s] at byte t * 4 + s. With bu = b ^ 0x80 (the
+// unsigned swizzle), hi = bu >> 1 and lo = bu - hi; padding is 0.
+constexpr std::size_t kQPanelCols = 16;
+constexpr std::size_t kQPanelQuadBytes = kQPanelCols * 4;
+constexpr std::size_t qpanel_tile_bytes(std::size_t k) {
+  return 2 * ((k + 3) / 4) * kQPanelQuadBytes;
+}
+constexpr std::size_t qpanel_bytes(std::size_t k, std::size_t n) {
+  return (n + kQPanelCols - 1) / kQPanelCols * qpanel_tile_bytes(k);
+}
 
 /// i32 accumulator headroom bound for the u8 x s8 kernel: the widened
 /// A operand is at most 255 and |B| at most 128, so sums stay exact while

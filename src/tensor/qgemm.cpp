@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "tensor/cpu_dispatch.hpp"
 #include "tensor/gemm.hpp"
@@ -309,6 +310,49 @@ void QuantizedMatrix::set_row_scale(std::size_t r, float scale) {
   scales_[r] = scale;
 }
 
+// --------------------------------------------------------- QuantizedWeights
+
+namespace {
+
+/// Packs b [k x n] into the vpmaddubsw panel layout of gemm_simd.hpp.
+std::vector<unsigned char> pack_maddubs_panel(const std::int8_t* b,
+                                              std::size_t k, std::size_t n) {
+  constexpr std::size_t kCols = simd::kQPanelCols;
+  const std::size_t kq = (k + 3) / 4;
+  std::vector<unsigned char> panel(simd::qpanel_bytes(k, n), 0);
+  for (std::size_t j = 0; j < n; ++j) {
+    unsigned char* lo =
+        panel.data() + j / kCols * simd::qpanel_tile_bytes(k) + j % kCols * 4;
+    unsigned char* hi = lo + kq * simd::kQPanelQuadBytes;
+    for (std::size_t p = 0; p < k; ++p) {
+      const auto bu = static_cast<unsigned char>(
+          static_cast<unsigned char>(b[p * n + j]) ^ 0x80u);
+      const std::size_t at = p / 4 * simd::kQPanelQuadBytes + p % 4;
+      hi[at] = static_cast<unsigned char>(bu >> 1);
+      lo[at] = static_cast<unsigned char>(bu - hi[at]);
+    }
+  }
+  return panel;
+}
+
+}  // namespace
+
+QuantizedWeights::QuantizedWeights(QuantizedMatrix q) : q_(std::move(q)) {
+  if (!q_.per_tensor() || !q_.symmetric()) {
+    throw std::invalid_argument(
+        "QuantizedWeights: B must be per-tensor symmetric (weights)");
+  }
+  const std::size_t k = q_.rows(), n = q_.cols();
+  col_sums_.assign(n, 0);
+  for (std::size_t p = 0; p < k; ++p) {
+    const std::int8_t* row = q_.row_data(p);
+    for (std::size_t j = 0; j < n; ++j) col_sums_[j] += row[j];
+  }
+  if (gemm_simd_available() && k <= simd::kQGemmSimdMaxK) {
+    panel_ = pack_maddubs_panel(q_.data(), k, n);
+  }
+}
+
 // ------------------------------------------------------------------- qgemm
 
 void qgemm_nn_i32_naive(const std::int8_t* a, const std::int8_t* b,
@@ -325,27 +369,25 @@ void qgemm_nn_i32_blocked(const std::int8_t* a, const std::int8_t* b,
   });
 }
 
-void qgemm_nn_i32_simd(const std::int8_t* a, const std::int8_t* b,
-                       std::int32_t* c, std::size_t m, std::size_t k,
-                       std::size_t n) {
-  // The u8 x s8 kernel's i32 headroom bound (gemm_simd.hpp) caps k; the
-  // blocked kernel is exact for any k reachable here, so fall back.
-  if (!gemm_simd_available() || k > simd::kQGemmSimdMaxK) {
-    qgemm_nn_i32_blocked(a, b, c, m, k, n);
+void qgemm_nn_i32_simd(const std::int8_t* a, const QuantizedWeights& b,
+                       std::int32_t* c, std::size_t m) {
+  const std::size_t k = b.rows(), n = b.cols();
+  const std::int8_t* bd = b.matrix().data();
+  // No panel: no AVX2 here, or k past the u8 x s8 kernel's i32 headroom
+  // bound (gemm_simd.hpp). The blocked kernel is exact for any k.
+  const unsigned char* panel = b.panel();
+  if (panel == nullptr) {
+    qgemm_nn_i32_blocked(a, bd, c, m, k, n);
     return;
   }
   gemm_partition_rows(m, m * k * n, [&](std::size_t i0, std::size_t i1) {
-    simd::nn_i8i32_range(a, b, c, k, n, i0, i1);
+    simd::nn_i8i32_range(a, bd, panel, c, k, n, i0, i1);
   });
 }
 
-Matrix qgemm(const QuantizedMatrix& a, const QuantizedMatrix& b) {
+Matrix qgemm(const QuantizedMatrix& a, const QuantizedWeights& b) {
   if (a.cols() != b.rows()) {
     throw std::invalid_argument("qgemm: inner dimension mismatch");
-  }
-  if (!b.per_tensor() || !b.symmetric()) {
-    throw std::invalid_argument(
-        "qgemm: B must be per-tensor symmetric (weights)");
   }
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   Matrix out(m, n);
@@ -358,27 +400,18 @@ Matrix qgemm(const QuantizedMatrix& a, const QuantizedMatrix& b) {
   acc.assign(m * n, 0);
   switch (gemm_dispatched_kernel()) {
     case GemmKernel::kNaive:
-      qgemm_nn_i32_naive(a.data(), b.data(), acc.data(), m, k, n);
+      qgemm_nn_i32_naive(a.data(), b.matrix().data(), acc.data(), m, k, n);
       break;
     case GemmKernel::kSimd:
-      qgemm_nn_i32_simd(a.data(), b.data(), acc.data(), m, k, n);
+      qgemm_nn_i32_simd(a.data(), b, acc.data(), m);
       break;
     default:
-      qgemm_nn_i32_blocked(a.data(), b.data(), acc.data(), m, k, n);
+      qgemm_nn_i32_blocked(a.data(), b.matrix().data(), acc.data(), m, k, n);
       break;
   }
 
   // Zero-point correction: sum_p (qa - za) * qb = acc - za * colsum(B).
-  std::vector<std::int32_t> col_sums;
-  if (!a.symmetric()) {
-    col_sums.assign(n, 0);
-    const std::int8_t* bd = b.data();
-    for (std::size_t p = 0; p < k; ++p) {
-      for (std::size_t j = 0; j < n; ++j) {
-        col_sums[j] += static_cast<std::int32_t>(bd[p * n + j]);
-      }
-    }
-  }
+  const std::vector<std::int32_t>& col_sums = b.col_sums();
   const float sb = b.scale();
   const bool simd_epilogue = simd_codec_active();
   for (std::size_t i = 0; i < m; ++i) {

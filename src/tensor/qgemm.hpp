@@ -19,11 +19,13 @@
 // for an extra bit of resolution.
 //
 // qgemm computes C = dequant(A) * dequant(B) through an int8 x int8 -> i32
-// blocked kernel (same tiles / 4-row micro-kernel / shared ThreadPool row
-// partition as the f32 kernel). Integer accumulation is exact, so blocked
-// == naive == threaded bit-for-bit with no ±0 caveats. B must be
-// per-tensor symmetric (weights); A zero points are folded in afterwards
-// via the standard column-sum correction:
+// kernel (blocked: same tiles / 4-row micro-kernel / shared ThreadPool row
+// partition as the f32 kernel; simd: the AVX2 kernel in qgemm_avx2.cpp).
+// Integer accumulation is exact, so naive == blocked == simd == threaded
+// bit-for-bit with no ±0 caveats. B is a QuantizedWeights: per-tensor
+// symmetric, with everything derived from its bytes (the SIMD panel, the
+// column sums) built once at construction, never per call. A zero points
+// are folded in afterwards via the standard column-sum correction:
 //
 //   C_ij = sa(i) * sb * (acc_ij - za(i) * colsum_B(j)).
 //
@@ -101,26 +103,56 @@ class QuantizedMatrix {
   std::vector<std::int32_t> zero_points_{0};
 };
 
+/// The B operand of qgemm: a per-tensor symmetric int8 weight matrix,
+/// prepared once (at model load) for every product it feeds. Besides the
+/// bytes it owns their vpmaddubsw panel (gemm_simd.hpp layout; built only
+/// where the SIMD kernel can run) and their column sums (the affine-A
+/// zero-point correction). All three are fixed at construction, so a
+/// weight change means building a new QuantizedWeights.
+class QuantizedWeights {
+ public:
+  QuantizedWeights() = default;
+  /// Throws std::invalid_argument unless `q` is per-tensor symmetric.
+  explicit QuantizedWeights(QuantizedMatrix q);
+
+  const QuantizedMatrix& matrix() const noexcept { return q_; }
+  std::size_t rows() const noexcept { return q_.rows(); }
+  std::size_t cols() const noexcept { return q_.cols(); }
+  float scale() const { return q_.scale(); }
+  /// colsum(j) = sum_p q[p][j].
+  const std::vector<std::int32_t>& col_sums() const noexcept {
+    return col_sums_;
+  }
+  /// The packed SIMD panel, or nullptr where the SIMD kernel cannot take
+  /// this matrix (no AVX2 here, or k past its accumulator bound).
+  const unsigned char* panel() const noexcept {
+    return panel_.empty() ? nullptr : panel_.data();
+  }
+
+ private:
+  QuantizedMatrix q_;
+  std::vector<std::int32_t> col_sums_;
+  std::vector<unsigned char> panel_;
+};
+
 /// C[m x n] = dequant(A[m x k]) * dequant(B[k x n]) via the int8 kernel.
-/// B must be per-tensor symmetric (throws std::invalid_argument otherwise).
-Matrix qgemm(const QuantizedMatrix& a, const QuantizedMatrix& b);
+Matrix qgemm(const QuantizedMatrix& a, const QuantizedWeights& b);
 
 // ---- raw i32 kernels (exposed for parity tests and benches) ----
 // c[m x n] += a[m x k] * b[k x n] over int8 operands with int32
 // accumulation; `blocked` and `simd` additionally row-partition across
 // the shared GEMM pool per the global (threads, threshold) knobs. `simd`
-// runs the AVX2 vpmaddubsw/vpmaddwd kernel (qgemm_avx2.cpp) when
-// gemm_simd_available() and k fits the u8 x s8 accumulator bound, and
-// falls back to `blocked` otherwise — integer arithmetic is exact, so
-// all three agree bit-for-bit.
+// takes B prepared as QuantizedWeights (k and n come from it) and runs
+// the AVX2 kernel (qgemm_avx2.cpp) when B carries a panel, falling back
+// to `blocked` otherwise — integer arithmetic is exact, so all three
+// agree bit-for-bit.
 void qgemm_nn_i32_naive(const std::int8_t* a, const std::int8_t* b,
                         std::int32_t* c, std::size_t m, std::size_t k,
                         std::size_t n);
 void qgemm_nn_i32_blocked(const std::int8_t* a, const std::int8_t* b,
                           std::int32_t* c, std::size_t m, std::size_t k,
                           std::size_t n);
-void qgemm_nn_i32_simd(const std::int8_t* a, const std::int8_t* b,
-                       std::int32_t* c, std::size_t m, std::size_t k,
-                       std::size_t n);
+void qgemm_nn_i32_simd(const std::int8_t* a, const QuantizedWeights& b,
+                       std::int32_t* c, std::size_t m);
 
 }  // namespace pp::tensor

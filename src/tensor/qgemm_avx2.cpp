@@ -1,22 +1,37 @@
-// AVX2 int8 x int8 -> i32 GEMM micro-kernel (vpmaddubsw + vpmaddwd) —
-// compiled with per-file -mavx2 -mfma like gemm_avx2.cpp.
+// AVX2 int8 x int8 -> i32 GEMM micro-kernel — compiled with per-file
+// -mavx2 -mfma like gemm_avx2.cpp.
+//
+// B is a weight matrix that arrives twice: as its raw bytes and as a
+// vpmaddubsw panel packed once when the weights were built
+// (QuantizedWeights, qgemm.cpp; layout in gemm_simd.hpp). Nothing is
+// packed per call. Each A row picks one of two paths from its own
+// nonzero pattern:
+//
+//  * Row path (isolated nonzeros: one-hot context rows). For each nonzero
+//    a[p], 16 raw B bytes of row p are sign-extended to i16, multiplied
+//    by the broadcast a[p] with vpmullw — exact, |a*b| <= 128*128 fits
+//    i16 — widened to i32 and accumulated. Cost is one step per nonzero.
+//  * Panel path (dense rows: stored hidden states, [crossed | x]). One
+//    step per nonzero k-quad: a 4-byte A quad is broadcast against the
+//    panel, so one 32-byte load feeds 8 output columns x 4 k-steps.
+//
+// A panel step costs about 1.3 row steps but covers up to four
+// nonzeros, so a row takes the panel once its nonzeros share quads
+// (plan_row holds the rule).
 //
 // vpmaddubsw multiplies UNSIGNED bytes by signed bytes. The unsigned
-// operand here is B (the weights), swizzled during the panel pack:
-// bu = b ^ 0x80 (= b + 128), removed after the k loop with the exact
-// per-row correction  c[i][:] -= 128 * rowsum(a_i)  — a single broadcast
-// subtract, because sum_p (b[p][j] + 128) * a[i][p] differs from the
-// true product by 128 * sum_p a[i][p] independent of j. Swizzling B
-// instead of A is what makes A-side sparsity cheap: serving inputs are
-// one-hot context rows (mostly zero), a zero A byte contributes nothing
-// to either the accumulator or the rowsum, so whole all-zero A k-quads
-// are skipped from a per-row ascending quad-index list with no
-// correction bookkeeping at all.
+// operand is B, swizzled in the panel: bu = b ^ 0x80 (= b + 128), removed
+// after the k loop with the exact per-row correction
+// c[i][:] -= 128 * rowsum(a_i) — a single broadcast subtract, because
+// sum_p (b[p][j] + 128) * a[i][p] differs from the true product by
+// 128 * sum_p a[i][p] independent of j. Swizzling B instead of A keeps
+// A-side sparsity cheap: a zero A byte contributes nothing to either the
+// accumulator or the rowsum, so all-zero A quads are skipped.
 //
 // vpmaddubsw SATURATES its i16 pair sums, and with bu up to 255 and A
 // down to -128 a pair sum reaches -65280 — far outside i16. To stay
 // bit-exact for the full int8 range (the -128 edge case included), bu is
-// split during the pack into two halves that are each <= 128:
+// split in the panel into two halves that are each <= 128:
 //
 //   bhi = bu >> 1   (<= 127),   blo = bu - bhi   (<= 128)
 //
@@ -25,17 +40,12 @@
 // 128*127*2 = 32512 — no saturation is possible, and
 // (blo + bhi) * a == bu * a exactly in integer arithmetic. Each i16
 // pair-sum vector is widened with vpmaddwd against ones and accumulated
-// in i32, which is exact while k <= kQGemmSimdMaxK (gemm_simd.hpp); the
-// dispatcher falls back to the blocked kernel beyond that.
+// in i32, which is exact while k <= kQGemmSimdMaxK (gemm_simd.hpp).
+// Zero padding is exact on both sides: a padded A byte is 0, so its
+// product and rowsum term are 0 whatever the padded B byte holds.
 //
-// B is packed per 16-column tile in k-quads (panel[q][t][0..3] =
-// swizzled b[4q+s][j+t], zero-padded), so one 32-byte load feeds 8
-// output columns x 4 k-steps and the two vpmaddwd pair sums that land in
-// one i32 lane belong to the same output column. A k-quads are broadcast
-// raw (signed) from the row; only the final partial quad is copied
-// through a zero-padded staging word. Zero padding is exact on both
-// sides: a padded A byte is 0, so its product and rowsum term are 0
-// whatever the padded B byte holds (also 0 here).
+// Multi-row blocks run tile-outer, rows-inner, so one 16-column tile of
+// the panel (and of B) stays in L1 across the rows of a batch.
 //
 // Like gemm_avx2.cpp, this TU must not instantiate std:: templates
 // (COMDAT symbols would carry AVX2 code into baseline TUs); scratch is
@@ -51,8 +61,6 @@
 namespace pp::tensor::simd {
 
 namespace {
-
-constexpr std::size_t kNr = 16;  // columns per panel: two ymm of i32
 
 struct ByteScratch {
   unsigned char* data = nullptr;
@@ -79,192 +87,183 @@ std::uint32_t a_quad(const std::int8_t* a_row, std::size_t q,
   return quad;
 }
 
-/// Pack-free path for small row counts (gemv-shaped products): the
-/// maddubs panel pack costs O(2*k*n) byte swizzles per tile, which
-/// dwarfs a single row's O(k*n) MACs. Instead B rows are read in place:
-/// 16 bytes sign-extended to i16, multiplied by the broadcast A value
-/// with vpmullw — exact, |a*b| <= 128*128 fits i16 — then widened to
-/// i32 and accumulated. The row's nonzero indices are collected once
-/// (ascending, so the term order matches the scalar kernels) and every
-/// column block walks only that list: serving feature rows are mostly
-/// one-hot, and re-scanning k zeros per 16-column block would cost more
-/// than the multiplies it feeds.
-void nn_i8i32_rowwise(const std::int8_t* a, const std::int8_t* b,
-                      std::int32_t* c, std::size_t k, std::size_t n,
-                      std::size_t i0, std::size_t i1) {
-  thread_local ByteScratch nz_scratch;
-  std::uint32_t* nz = reinterpret_cast<std::uint32_t*>(
-      nz_scratch.get(k * sizeof(std::uint32_t)));
-  const std::size_t n_panel = n - n % 16;
-  for (std::size_t i = i0; i < i1; ++i) {
-    const std::int8_t* a_row = a + i * k;
-    std::size_t nnz = 0;
-    for (std::size_t p = 0; p < k; ++p) {
-      if (a_row[p] != 0) nz[nnz++] = static_cast<std::uint32_t>(p);
-    }
-    if (nnz == 0) continue;
-    std::int32_t* c_row = c + i * n;
-    for (std::size_t j = 0; j < n_panel; j += 16) {
-      __m256i acc0 = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(c_row + j));
-      __m256i acc1 = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(c_row + j + 8));
-      for (std::size_t t = 0; t < nnz; ++t) {
-        const std::size_t p = nz[t];
-        const __m256i va = _mm256_set1_epi16(static_cast<short>(a_row[p]));
-        const __m128i bb = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(b + p * n + j));
-        const __m256i prod =
-            _mm256_mullo_epi16(_mm256_cvtepi8_epi16(bb), va);
-        acc0 = _mm256_add_epi32(
-            acc0, _mm256_cvtepi16_epi32(_mm256_castsi256_si128(prod)));
-        acc1 = _mm256_add_epi32(
-            acc1, _mm256_cvtepi16_epi32(_mm256_extracti128_si256(prod, 1)));
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(c_row + j), acc0);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(c_row + j + 8), acc1);
-    }
-    for (std::size_t t = 0; t < nnz && n_panel < n; ++t) {
-      const std::size_t p = nz[t];
-      const std::int32_t av = a_row[p];
-      const std::int8_t* b_row = b + p * n;
-      for (std::size_t j = n_panel; j < n; ++j) {
-        c_row[j] += av * static_cast<std::int32_t>(b_row[j]);
-      }
+/// One A row's plan, built once and reused across every column tile.
+/// `idx` lists the row's nonzero k indices (row path) or nonzero k-quads
+/// (panel path), ascending either way.
+struct RowPlan {
+  std::uint32_t count;      // entries in idx; 0 = all-zero row
+  std::uint32_t row_path;   // 1: per-p row path, 0: panel path
+  std::int32_t corr;        // panel path: 128 * rowsum
+  std::uint32_t last_quad;  // panel path: zero-padded final quad
+};
+
+/// Nonzero bytes in an A quad, and their signed sum.
+std::uint32_t quad_nonzeros(std::uint32_t quad) {
+  return static_cast<std::uint32_t>((quad & 0xffu) != 0) +
+         static_cast<std::uint32_t>((quad & 0xff00u) != 0) +
+         static_cast<std::uint32_t>((quad & 0xff0000u) != 0) +
+         static_cast<std::uint32_t>((quad & 0xff000000u) != 0);
+}
+std::int32_t quad_sum(std::uint32_t quad) {
+  return static_cast<std::int8_t>(quad) +
+         static_cast<std::int8_t>(quad >> 8) +
+         static_cast<std::int8_t>(quad >> 16) +
+         static_cast<std::int8_t>(quad >> 24);
+}
+
+/// Fills `plan` and `idx` (room for k entries) for one A row.
+void plan_row(const std::int8_t* a_row, std::size_t k, RowPlan* plan,
+              std::uint32_t* idx) {
+  const std::size_t kq = (k + 3) / 4;
+  plan->last_quad = a_quad(a_row, kq - 1, k);
+  std::uint32_t nnz = 0, quads = 0;
+  std::int32_t rowsum = 0;
+  for (std::size_t q = 0; q < kq; ++q) {
+    std::uint32_t quad = plan->last_quad;
+    if (q + 1 < kq) std::memcpy(&quad, a_row + q * 4, sizeof(quad));
+    if (quad == 0) continue;
+    idx[quads++] = static_cast<std::uint32_t>(q);
+    nnz += quad_nonzeros(quad);
+    rowsum += quad_sum(quad);
+  }
+  plan->corr = rowsum * 128;
+  // Isolated nonzeros (fewer than 1.25 per nonzero quad) take the row
+  // path: a panel step costs about 1.3 row steps.
+  plan->row_path = 4 * nnz < 5 * quads ? 1u : 0u;
+  plan->count = plan->row_path != 0 ? nnz : quads;
+  if (plan->row_path == 0) return;
+  // Expand the quad list into the ascending nonzero-p list in place,
+  // back to front: quads 0..t hold at least t + 1 nonzeros, so quad t's
+  // entries land at or after slot t, and slots before t still hold the
+  // quads not yet expanded.
+  std::uint32_t out = nnz;
+  for (std::uint32_t t = quads; t-- > 0;) {
+    const std::size_t p0 = std::size_t{idx[t]} * 4;
+    for (std::size_t p = min_sz(k, p0 + 4); p-- > p0;) {
+      if (a_row[p] != 0) idx[--out] = static_cast<std::uint32_t>(p);
     }
   }
 }
 
-constexpr std::size_t kPanelMinRows = 8;
+/// Row path over one full 16-column tile at column j.
+void row_tile(const std::int8_t* a_row, const std::uint32_t* nz,
+              std::uint32_t count, const std::int8_t* b, std::size_t n,
+              std::size_t j, std::int32_t* c_row) {
+  __m256i acc0 =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c_row));
+  __m256i acc1 =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c_row + 8));
+  for (std::uint32_t t = 0; t < count; ++t) {
+    const std::size_t p = nz[t];
+    const __m256i va = _mm256_set1_epi16(static_cast<short>(a_row[p]));
+    const __m128i bb =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + p * n + j));
+    const __m256i prod = _mm256_mullo_epi16(_mm256_cvtepi8_epi16(bb), va);
+    acc0 = _mm256_add_epi32(
+        acc0, _mm256_cvtepi16_epi32(_mm256_castsi256_si128(prod)));
+    acc1 = _mm256_add_epi32(
+        acc1, _mm256_cvtepi16_epi32(_mm256_extracti128_si256(prod, 1)));
+  }
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(c_row), acc0);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(c_row + 8), acc1);
+}
+
+/// Panel path over one 16-column tile (`lo`/`hi`: the tile's panel
+/// halves) of width jw. Four accumulators keep the add chains short.
+void panel_tile(const std::int8_t* a_row, const RowPlan& plan,
+                const std::uint32_t* quads, std::size_t kq,
+                const unsigned char* lo, const unsigned char* hi,
+                std::size_t jw, std::int32_t* c_row) {
+  const __m256i ones = _mm256_set1_epi16(1);
+  __m256i acc0 = _mm256_setzero_si256();
+  __m256i acc1 = _mm256_setzero_si256();
+  __m256i acc2 = _mm256_setzero_si256();
+  __m256i acc3 = _mm256_setzero_si256();
+  for (std::uint32_t t = 0; t < plan.count; ++t) {
+    const std::size_t q = quads[t];
+    std::uint32_t quad;
+    if (q + 1 == kq) {
+      quad = plan.last_quad;
+    } else {
+      std::memcpy(&quad, a_row + q * 4, sizeof(quad));
+    }
+    const __m256i va = _mm256_set1_epi32(static_cast<std::int32_t>(quad));
+    const unsigned char* l = lo + q * kQPanelQuadBytes;
+    const unsigned char* h = hi + q * kQPanelQuadBytes;
+    const __m256i b_lo0 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(l));
+    const __m256i b_lo1 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(l + 32));
+    const __m256i b_hi0 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h));
+    const __m256i b_hi1 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h + 32));
+    acc0 = _mm256_add_epi32(
+        acc0, _mm256_madd_epi16(_mm256_maddubs_epi16(b_lo0, va), ones));
+    acc1 = _mm256_add_epi32(
+        acc1, _mm256_madd_epi16(_mm256_maddubs_epi16(b_lo1, va), ones));
+    acc2 = _mm256_add_epi32(
+        acc2, _mm256_madd_epi16(_mm256_maddubs_epi16(b_hi0, va), ones));
+    acc3 = _mm256_add_epi32(
+        acc3, _mm256_madd_epi16(_mm256_maddubs_epi16(b_hi1, va), ones));
+  }
+  const __m256i vcorr = _mm256_set1_epi32(plan.corr);
+  acc0 = _mm256_sub_epi32(_mm256_add_epi32(acc0, acc2), vcorr);
+  acc1 = _mm256_sub_epi32(_mm256_add_epi32(acc1, acc3), vcorr);
+  if (jw == kQPanelCols) {
+    __m256i* c0 = reinterpret_cast<__m256i*>(c_row);
+    __m256i* c1 = reinterpret_cast<__m256i*>(c_row + 8);
+    _mm256_storeu_si256(c0, _mm256_add_epi32(_mm256_loadu_si256(c0), acc0));
+    _mm256_storeu_si256(c1, _mm256_add_epi32(_mm256_loadu_si256(c1), acc1));
+    return;
+  }
+  alignas(32) std::int32_t tmp[kQPanelCols];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), acc0);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(tmp + 8), acc1);
+  for (std::size_t t = 0; t < jw; ++t) c_row[t] += tmp[t];
+}
 
 }  // namespace
 
 void nn_i8i32_range(const std::int8_t* a, const std::int8_t* b,
-                    std::int32_t* c, std::size_t k, std::size_t n,
-                    std::size_t i0, std::size_t i1) {
+                    const unsigned char* panel, std::int32_t* c,
+                    std::size_t k, std::size_t n, std::size_t i0,
+                    std::size_t i1) {
   if (i0 >= i1 || n == 0 || k == 0) return;
-  const std::size_t kq = (k + 3) / 4;  // k-quads per row, zero-padded
+  const std::size_t kq = (k + 3) / 4;
   const std::size_t rows = i1 - i0;
-  if (rows < kPanelMinRows) {
-    nn_i8i32_rowwise(a, b, c, k, n, i0, i1);
-    return;
-  }
 
-  // Per-row prep, reused across every column tile: the 128*rowsum
-  // correction, the ascending list of nonzero A k-quads, and the padded
-  // final quad. One-hot rows shrink their quad list to a handful of
-  // entries — the dominant cost saver on the serving path.
   thread_local ByteScratch row_scratch;
   unsigned char* raw = row_scratch.get(
-      rows * (sizeof(std::int32_t) * 2 + sizeof(std::uint32_t) * (kq + 1)));
-  std::int32_t* corr = reinterpret_cast<std::int32_t*>(raw);
-  std::uint32_t* quad_count =
-      reinterpret_cast<std::uint32_t*>(corr + rows);
-  std::uint32_t* last_quad =
-      reinterpret_cast<std::uint32_t*>(quad_count + rows);
-  std::uint32_t* quad_idx = last_quad + rows;  // rows * kq
+      rows * (sizeof(RowPlan) + k * sizeof(std::uint32_t)));
+  RowPlan* plans = reinterpret_cast<RowPlan*>(raw);
+  std::uint32_t* idx_base = reinterpret_cast<std::uint32_t*>(plans + rows);
   for (std::size_t r = 0; r < rows; ++r) {
-    const std::int8_t* a_row = a + (i0 + r) * k;
-    std::int32_t rowsum = 0;
-    for (std::size_t p = 0; p < k; ++p) rowsum += a_row[p];
-    corr[r] = rowsum * 128;
-    std::uint32_t cnt = 0;
-    std::uint32_t* idx = quad_idx + r * kq;
-    for (std::size_t q = 0; q + 1 < kq; ++q) {
-      std::uint32_t quad;
-      std::memcpy(&quad, a_row + q * 4, sizeof(quad));
-      if (quad != 0) idx[cnt++] = static_cast<std::uint32_t>(q);
-    }
-    last_quad[r] = a_quad(a_row, kq - 1, k);
-    if (last_quad[r] != 0) idx[cnt++] = static_cast<std::uint32_t>(kq - 1);
-    quad_count[r] = cnt;
+    plan_row(a + (i0 + r) * k, k, plans + r, idx_base + r * k);
   }
 
-  // The B panel is re-packed per stripe when the caller row-partitions
-  // this range across the pool; the pack is O(k*32) per tile against the
-  // O(rows*k*16) products it feeds.
-  thread_local ByteScratch panel_scratch;
-  unsigned char* panel_lo = panel_scratch.get(2 * kq * 4 * kNr);
-  unsigned char* panel_hi = panel_lo + kq * 4 * kNr;
-  alignas(32) std::int32_t tmp[2 * 8];
-  const __m256i ones = _mm256_set1_epi16(1);
-
-  for (std::size_t j = 0; j < n; j += kNr) {
-    const std::size_t jw = min_sz(kNr, n - j);
-    for (std::size_t q = 0; q < kq; ++q) {
-      unsigned char* lo = panel_lo + q * 4 * kNr;
-      unsigned char* hi = panel_hi + q * 4 * kNr;
-      const std::size_t p_hi = min_sz(k, q * 4 + 4);
-      for (std::size_t t = 0; t < kNr; ++t) {
-        unsigned char* lo_cell = lo + t * 4;
-        unsigned char* hi_cell = hi + t * 4;
-        std::size_t s = 0;
-        if (t < jw) {
-          for (std::size_t p = q * 4; p < p_hi; ++p, ++s) {
-            const unsigned char bu = static_cast<unsigned char>(
-                static_cast<unsigned char>(b[p * n + j + t]) ^ 0x80u);
-            const unsigned char h = bu >> 1;
-            hi_cell[s] = h;
-            lo_cell[s] = static_cast<unsigned char>(bu - h);
-          }
-        }
-        for (; s < 4; ++s) {
-          lo_cell[s] = 0;
-          hi_cell[s] = 0;
-        }
-      }
-    }
-
+  const std::size_t tile_bytes = qpanel_tile_bytes(k);
+  for (std::size_t j = 0; j < n; j += kQPanelCols) {
+    const std::size_t jw = min_sz(kQPanelCols, n - j);
+    const unsigned char* lo = panel + j / kQPanelCols * tile_bytes;
+    const unsigned char* hi = lo + kq * kQPanelQuadBytes;
     for (std::size_t r = 0; r < rows; ++r) {
+      const RowPlan& plan = plans[r];
+      if (plan.count == 0) continue;
       const std::int8_t* a_row = a + (i0 + r) * k;
-      const std::uint32_t* idx = quad_idx + r * kq;
-      const std::uint32_t cnt = quad_count[r];
-      __m256i acc0 = _mm256_setzero_si256();
-      __m256i acc1 = _mm256_setzero_si256();
-      for (std::uint32_t t = 0; t < cnt; ++t) {
-        const std::size_t q = idx[t];
-        std::uint32_t quad;
-        if (q + 1 == kq) {
-          quad = last_quad[r];
-        } else {
-          std::memcpy(&quad, a_row + q * 4, sizeof(quad));
-        }
-        const __m256i va =
-            _mm256_set1_epi32(static_cast<std::int32_t>(quad));
-        const unsigned char* lo = panel_lo + q * 4 * kNr;
-        const unsigned char* hi = panel_hi + q * 4 * kNr;
-        const __m256i b_lo0 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lo));
-        const __m256i b_lo1 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lo + 32));
-        const __m256i b_hi0 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hi));
-        const __m256i b_hi1 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hi + 32));
-        acc0 = _mm256_add_epi32(
-            acc0, _mm256_madd_epi16(_mm256_maddubs_epi16(b_lo0, va), ones));
-        acc0 = _mm256_add_epi32(
-            acc0, _mm256_madd_epi16(_mm256_maddubs_epi16(b_hi0, va), ones));
-        acc1 = _mm256_add_epi32(
-            acc1, _mm256_madd_epi16(_mm256_maddubs_epi16(b_lo1, va), ones));
-        acc1 = _mm256_add_epi32(
-            acc1, _mm256_madd_epi16(_mm256_maddubs_epi16(b_hi1, va), ones));
-      }
-      const __m256i vcorr = _mm256_set1_epi32(corr[r]);
+      const std::uint32_t* idx = idx_base + r * k;
       std::int32_t* c_row = c + (i0 + r) * n + j;
-      if (jw == kNr) {
-        __m256i* c0 = reinterpret_cast<__m256i*>(c_row);
-        __m256i* c1 = reinterpret_cast<__m256i*>(c_row + 8);
-        _mm256_storeu_si256(
-            c0, _mm256_add_epi32(_mm256_loadu_si256(c0),
-                                 _mm256_sub_epi32(acc0, vcorr)));
-        _mm256_storeu_si256(
-            c1, _mm256_add_epi32(_mm256_loadu_si256(c1),
-                                 _mm256_sub_epi32(acc1, vcorr)));
+      if (plan.row_path == 0) {
+        panel_tile(a_row, plan, idx, kq, lo, hi, jw, c_row);
+      } else if (jw == kQPanelCols) {
+        row_tile(a_row, idx, plan.count, b, n, j, c_row);
       } else {
-        _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), acc0);
-        _mm256_store_si256(reinterpret_cast<__m256i*>(tmp + 8), acc1);
-        for (std::size_t t = 0; t < jw; ++t) c_row[t] += tmp[t] - corr[r];
+        // Partial tile: a 16-byte load would run past B's last row.
+        for (std::uint32_t t = 0; t < plan.count; ++t) {
+          const std::int32_t av = a_row[idx[t]];
+          const std::int8_t* b_row = b + idx[t] * n + j;
+          for (std::size_t s = 0; s < jw; ++s) c_row[s] += av * b_row[s];
+        }
       }
     }
   }
@@ -432,8 +431,9 @@ void scale_i32_f32(const std::int32_t* acc, float* out, std::size_t n,
 
 namespace pp::tensor::simd {
 
-void nn_i8i32_range(const std::int8_t*, const std::int8_t*, std::int32_t*,
-                    std::size_t, std::size_t, std::size_t, std::size_t) {
+void nn_i8i32_range(const std::int8_t*, const std::int8_t*,
+                    const unsigned char*, std::int32_t*, std::size_t,
+                    std::size_t, std::size_t, std::size_t) {
   std::abort();
 }
 

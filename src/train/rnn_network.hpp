@@ -63,7 +63,8 @@ struct NetworkWeights {
 };
 
 /// Int8 weight replicas for the quantized serving path, built once from
-/// the trained f32 parameters (prepare_quantized).
+/// the trained f32 parameters (prepare_quantized). Each holds its packed
+/// kernel panels, so it is rebuilt whenever the f32 weights change.
 using QuantizedNetworkWeights =
     NetworkWeights<nn::QuantizedGruCell, nn::QuantizedLinear>;
 
@@ -213,10 +214,12 @@ class RnnNetwork : public nn::Module {
   void deserialize(BinaryReader& reader);
 
   // ---- quantized serving mode (int8 weights + int8 states, §9) ----
-  /// (Re)builds the int8 weight replicas from the current f32 parameters.
-  /// Requires the GRU cell (throws std::invalid_argument otherwise); call
-  /// once at load. Weight-mutating entry points (deserialize,
-  /// RnnTrainer::fit) refresh an already-enabled mode themselves.
+  /// (Re)builds the int8 weight replicas from the current f32 parameters:
+  /// every weight matrix is quantized and packed for the int8 kernels
+  /// here, once, so serving never packs. Requires the GRU cell (throws
+  /// std::invalid_argument otherwise); call once at load. Weight-mutating
+  /// entry points (deserialize, RnnTrainer::fit) refresh an
+  /// already-enabled mode themselves.
   void prepare_quantized();
   bool quantized_ready() const { return qweights_ != nullptr; }
   const QuantizedNetworkWeights& quantized_weights() const;

@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <thread>
+#include <vector>
 
 #include "data/generators.hpp"
 #include "features/examples.hpp"
@@ -22,6 +24,7 @@
 #include "serving/online_experiment.hpp"
 #include "serving/precompute_service.hpp"
 #include "serving_test_util.hpp"
+#include "util/serialize.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pp::online {
@@ -191,6 +194,85 @@ TEST(ModelRegistry, RebuildsQuantizedReplicasBeforePublish) {
   // The published version came out quantized — a kInt8 reader can never
   // observe a version whose replicas lag its weights.
   EXPECT_TRUE(registry.current()->model->quantized_serving());
+}
+
+/// The int8 serve outputs of `net` on fixed inputs: batched logits over
+/// mixed stored states, then the bytes and scale of a state stepped three
+/// times from cold. The replicas carry a packed copy of the weights, so a
+/// stale pack shows up here and nowhere else.
+struct Q8Outputs {
+  std::vector<double> logits;
+  std::vector<std::int8_t> state_bytes;
+  float state_scale = 0;
+};
+
+Q8Outputs q8_outputs(const train::RnnNetwork& net) {
+  const std::size_t H = net.config().hidden_size;
+  const std::size_t B = 5;
+  Rng rng(4242);
+  tensor::QuantizedMatrix h_block(B, H);
+  for (std::size_t b = 0; b < B; ++b) {
+    const auto q = tensor::QuantizedMatrix::quantize(
+        Matrix::randn(1, H, rng, 0.0f, 0.2f + 0.1f * static_cast<float>(b)));
+    std::copy_n(q.data(), H, h_block.row_data(b));
+    h_block.set_row_scale(b, q.scale());
+  }
+  const Matrix x_block = Matrix::rand_uniform(
+      B, net.config().predict_input_size(), rng, 0.0f, 1.0f);
+  Q8Outputs out;
+  out.logits = net.infer_logits_q8(h_block, x_block);
+  train::QuantizedInferenceState state = net.infer_initial_state_q8();
+  for (int step = 0; step < 3; ++step) {
+    net.infer_update_q8(state, Matrix::rand_uniform(
+                                   1, net.config().update_input_size(), rng,
+                                   0.0f, 1.0f));
+  }
+  out.state_bytes = state.hidden().storage();
+  out.state_scale = state.hidden().scale();
+  return out;
+}
+
+void expect_same_q8(const Q8Outputs& got, const Q8Outputs& want) {
+  EXPECT_EQ(got.logits, want.logits);
+  EXPECT_EQ(got.state_bytes, want.state_bytes);
+  EXPECT_EQ(got.state_scale, want.state_scale);
+}
+
+TEST(ModelRegistry, Int8ScoresFollowLoadedAndPublishedWeights) {
+  const data::Dataset meta = drift_cohort(2, 1, 1000, 1);
+  auto config = small_rnn_config();
+  auto model_a = std::make_shared<models::RnnModel>(meta, config);
+  model_a->enable_quantized_serving();
+  config.seed = 31337;
+  auto model_b = std::make_shared<models::RnnModel>(meta, config);
+  BinaryWriter b_bytes;
+  model_b->network().serialize(b_bytes);
+  const std::vector<std::uint8_t> b_weights = b_bytes.take();
+  model_b->enable_quantized_serving();
+  const Q8Outputs want = q8_outputs(model_b->network());
+  // Different weights score differently, so the checks below can fail.
+  EXPECT_NE(q8_outputs(model_a->network()).logits, want.logits);
+
+  // Loading B's weights into an int8-enabled A refreshes its replicas.
+  {
+    BinaryReader reader(b_weights);
+    model_a->network().deserialize(reader);
+  }
+  expect_same_q8(q8_outputs(model_a->network()), want);
+
+  // A model whose replicas went stale behind the network's back (new f32
+  // weights through the base Module loader) is rebuilt by publish.
+  ModelRegistry registry(model_a);
+  config.seed = 7;
+  auto stale = std::make_shared<models::RnnModel>(meta, config);
+  stale->enable_quantized_serving();
+  {
+    BinaryReader reader(b_weights);
+    static_cast<nn::Module&>(stale->network()).deserialize(reader);
+  }
+  EXPECT_NE(q8_outputs(stale->network()).logits, want.logits);
+  registry.publish(stale);
+  expect_same_q8(q8_outputs(registry.current()->model->network()), want);
 }
 
 // ------------------------------------------------------- optimizer round-trip

@@ -6,7 +6,9 @@
 // maddubs edge case and non-finite B under the zero-skip contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -261,7 +263,7 @@ TEST(QGemm, MatchesDequantizedReferenceProduct) {
   const Matrix w = Matrix::randn(37, 11, rng);
   const QuantizedMatrix qa = QuantizedMatrix::quantize_rows(a);
   const QuantizedMatrix qw = QuantizedMatrix::quantize(w);
-  const Matrix out = qgemm(qa, qw);
+  const Matrix out = qgemm(qa, QuantizedWeights(qw));
   for (std::size_t i = 0; i < 5; ++i) {
     for (std::size_t j = 0; j < 11; ++j) {
       double acc = 0;
@@ -291,7 +293,7 @@ TEST(QGemm, AffineZeroPointCorrectionIsExact) {
   const QuantizedMatrix qa = QuantizedMatrix::quantize_rows_affine(a);
   EXPECT_FALSE(qa.symmetric());  // the correction path actually runs
   const QuantizedMatrix qw = QuantizedMatrix::quantize(w);
-  const Matrix out = qgemm(qa, qw);
+  const Matrix out = qgemm(qa, QuantizedWeights(qw));
   for (std::size_t i = 0; i < 4; ++i) {
     for (std::size_t j = 0; j < 7; ++j) {
       double acc = 0;
@@ -312,12 +314,13 @@ TEST(QGemm, RejectsNonSymmetricOrMismatchedOperands) {
   const Matrix w = Matrix::randn(8, 3, rng);
   const QuantizedMatrix qa = QuantizedMatrix::quantize_rows(a);
   const QuantizedMatrix qw = QuantizedMatrix::quantize(w);
-  // B with per-row zero points is not a weight tensor.
+  // B with per-row zero points is not a weight tensor (rejected when the
+  // weights are built).
   const QuantizedMatrix bad_b = QuantizedMatrix::quantize_rows_affine(w);
-  EXPECT_THROW(qgemm(qa, bad_b), std::invalid_argument);
+  EXPECT_THROW(qgemm(qa, QuantizedWeights(bad_b)), std::invalid_argument);
   const QuantizedMatrix wrong_k = QuantizedMatrix::quantize(
       Matrix::randn(9, 3, rng));
-  EXPECT_THROW(qgemm(qa, wrong_k), std::invalid_argument);
+  EXPECT_THROW(qgemm(qa, QuantizedWeights(wrong_k)), std::invalid_argument);
 }
 
 // ---- SIMD kernel parity ----------------------------------------------------
@@ -413,26 +416,71 @@ std::vector<std::int8_t> random_int8_full(std::size_t n, Rng& rng) {
   return v;
 }
 
+/// Packs raw [k x n] weight bytes the way the serving layers do.
+QuantizedWeights packed(const std::vector<std::int8_t>& b, std::size_t k,
+                        std::size_t n) {
+  return QuantizedWeights(QuantizedMatrix::from_raw(k, n, 1.0f, b));
+}
+
+/// A row of one density class: 0 all-zero, 1 one-hot, 2 dense, 3 dense and
+/// made only of the -128 / 127 extremes. Classes 0/1 take the SIMD
+/// kernel's per-p row path, 2/3 its packed panel (once k > 1).
+std::vector<std::int8_t> density_row(int kind, std::size_t k, Rng& rng) {
+  std::vector<std::int8_t> row(k, 0);
+  if (kind == 1) {
+    row[static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(k) - 1))] =
+        static_cast<std::int8_t>(rng.uniform_int(0, 1) == 0 ? -128 : 127);
+  } else if (kind == 2) {
+    row = random_int8_full(k, rng);
+  } else if (kind == 3) {
+    for (auto& v : row) {
+      v = static_cast<std::int8_t>(rng.uniform_int(0, 1) == 0 ? -128 : 127);
+    }
+  }
+  return row;
+}
+
 TEST(GemmDispatchMatrix, QGemmKernelsBitExactOverFullInt8Range) {
+  const auto check = [](const std::vector<std::int8_t>& a,
+                        const std::vector<std::int8_t>& b, std::size_t m,
+                        std::size_t k, std::size_t n) {
+    std::vector<std::int32_t> ref(m * n, 0);
+    qgemm_nn_i32_naive(a.data(), b.data(), ref.data(), m, k, n);
+    const QuantizedWeights wb = packed(b, k, n);
+    for (const DispatchCase& dc : kDispatchCases) {
+      GemmConfigScope scope(GemmKernel::kBlocked, dc.threads, 0);
+      std::vector<std::int32_t> out(m * n, 0);
+      if (dc.kernel == GemmKernel::kSimd) {
+        qgemm_nn_i32_simd(a.data(), wb, out.data(), m);
+      } else {
+        qgemm_nn_i32_blocked(a.data(), b.data(), out.data(), m, k, n);
+      }
+      EXPECT_EQ(ref, out) << dc.tag << " " << m << "x" << k << "x" << n;
+    }
+  };
   for (const std::size_t m : {1u, 5u, 6u, 7u, 17u}) {
     for (const std::size_t n : {1u, 15u, 16u, 17u, 31u}) {
       for (const std::size_t k : {5u, 33u}) {
         Rng rng(m * 977 + n * 31 + k);
         const auto a = random_int8_full(m * k, rng);
         const auto b = random_int8_full(k * n, rng);
-        std::vector<std::int32_t> ref(m * n, 0);
-        qgemm_nn_i32_naive(a.data(), b.data(), ref.data(), m, k, n);
-        for (const DispatchCase& dc : kDispatchCases) {
-          GemmConfigScope scope(GemmKernel::kBlocked, dc.threads, 0);
-          std::vector<std::int32_t> out(m * n, 0);
-          if (dc.kernel == GemmKernel::kSimd) {
-            qgemm_nn_i32_simd(a.data(), b.data(), out.data(), m, k, n);
-          } else {
-            qgemm_nn_i32_blocked(a.data(), b.data(), out.data(), m, k, n);
-          }
-          EXPECT_EQ(ref, out)
-              << dc.tag << " " << m << "x" << k << "x" << n;
+        check(a, b, m, k, n);
+      }
+    }
+  }
+  // Mixed-density rows at every row count: the SIMD kernel picks its path
+  // per row, so each block mixes all four density classes.
+  for (const std::size_t m : {1u, 2u, 3u, 7u, 8u, 9u, 17u, 64u}) {
+    for (const std::size_t k : {1u, 5u, 33u, 130u}) {
+      for (const std::size_t n : {1u, 15u, 16u, 17u, 31u}) {
+        Rng rng(m * 7919 + k * 131 + n);
+        std::vector<std::int8_t> a;
+        for (std::size_t i = 0; i < m; ++i) {
+          const auto row = density_row(static_cast<int>((i + m) % 4), k, rng);
+          a.insert(a.end(), row.begin(), row.end());
         }
+        const auto b = random_int8_full(k * n, rng);
+        check(a, b, m, k, n);
       }
     }
   }
@@ -442,24 +490,30 @@ TEST(QGemm, SimdSwizzleBiasCorrectionAtMinusOneTwentyEight) {
   // Worst case for the u8 x s8 swizzle: A = -128 maps to au = 0 (an
   // entirely bias-carried value) and A = 127 to au = 255 against B = -128
   // — the pair products a saturating vpmaddubsw implementation would
-  // corrupt. Sweep k across quad boundaries so padded quads are hit too,
-  // and both row counts: m = 11 takes the packed maddubs panel kernel,
-  // m = 3 the pack-free vpmullw row path for gemv-shaped products.
+  // corrupt. Sweep k across quad boundaries so padded quads are hit too.
+  // Row density picks the SIMD path, not the row count: the pattern rows
+  // and the extra all -128 row are dense and take the packed panel (for
+  // k > 1), the extra one-hot -128 row takes the vpmullw row path, so
+  // both paths see the edge at m = 3 and at m = 11.
   for (const std::size_t m : {3u, 11u}) {
     for (const std::size_t k : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 64u}) {
       const std::size_t n = 17;
-      std::vector<std::int8_t> a(m * k), b(k * n);
-      for (std::size_t i = 0; i < a.size(); ++i) {
+      const std::size_t rows = m + 2;
+      std::vector<std::int8_t> a(rows * k), b(k * n);
+      for (std::size_t i = 0; i < m * k; ++i) {
         a[i] = (i % 3 == 0)
                    ? std::int8_t{-128}
                    : ((i % 3 == 1) ? std::int8_t{127} : std::int8_t{1});
       }
+      std::fill_n(a.begin() + static_cast<std::ptrdiff_t>(m * k), k,
+                  std::int8_t{-128});  // dense row
+      a.back() = -128;  // one-hot row, its nonzero in the final quad
       for (std::size_t i = 0; i < b.size(); ++i) {
         b[i] = (i % 2 == 0) ? std::int8_t{-128} : std::int8_t{127};
       }
-      std::vector<std::int32_t> ref(m * n, 0), out(m * n, 0);
-      qgemm_nn_i32_naive(a.data(), b.data(), ref.data(), m, k, n);
-      qgemm_nn_i32_simd(a.data(), b.data(), out.data(), m, k, n);
+      std::vector<std::int32_t> ref(rows * n, 0), out(rows * n, 0);
+      qgemm_nn_i32_naive(a.data(), b.data(), ref.data(), rows, k, n);
+      qgemm_nn_i32_simd(a.data(), packed(b, k, n), out.data(), rows);
       EXPECT_EQ(ref, out) << "m=" << m << " k=" << k;
     }
   }
@@ -529,12 +583,12 @@ TEST(QGemm, FullProductBitExactAcrossDispatchedKernels) {
   {
     GemmConfigScope scope(GemmKernel::kSimd, 1);
     out_simd = qgemm(QuantizedMatrix::quantize_rows(a),
-                     QuantizedMatrix::quantize(w));
+                     QuantizedWeights(QuantizedMatrix::quantize(w)));
   }
   {
     GemmConfigScope scope(GemmKernel::kBlocked, 1);
     out_blocked = qgemm(QuantizedMatrix::quantize_rows(a),
-                        QuantizedMatrix::quantize(w));
+                        QuantizedWeights(QuantizedMatrix::quantize(w)));
   }
   EXPECT_EQ(out_simd, out_blocked);
 }
