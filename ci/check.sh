@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 verify + bench regression gate, with optional sanitizer lanes.
+# Tier-1 verify + bench smoke, with optional sanitizer lanes. Speed is
+# gated separately, against a base revision: ci/perf_ab.py <base-rev>.
 #
 # Usage:
-#   ci/check.sh [build-dir]                 # Release lane + bench gate +
-#                                           # perfbench self-test
+#   ci/check.sh [build-dir]                 # Release lane + section-7 bench
+#                                           # smoke + perfbench self-test
 #   ci/check.sh --sanitize asan [build-dir] # Debug + ASan/UBSan, tiers only
 #   ci/check.sh --sanitize tsan [build-dir] # RelWithDebInfo + TSan (incl. stress)
 #   ci/check.sh --sanitize ubsan [build-dir]# Debug + UBSan, tiers only
@@ -42,7 +43,7 @@ while [[ $# -gt 0 ]]; do
     --lint)
       MODE="lint"; shift ;;
     -h|--help)
-      sed -n '2,16p' "${BASH_SOURCE[0]}"; exit 0 ;;
+      sed -n '2,14p' "${BASH_SOURCE[0]}"; exit 0 ;;
     -*)
       # Reject unknown flags loudly: silently treating a typoed --sanitize
       # as the build dir would run the wrong lane and report green.
@@ -112,8 +113,7 @@ case "${SANITIZE}" in
     if [[ "${MODE}" == "clang" ]]; then
       BUILD_DIR="${BUILD_DIR:-${REPO_ROOT}/build-clang}"
       CMAKE_ARGS+=(-DCMAKE_CXX_COMPILER="${CLANGXX}")
-      # The bench gate baseline tracks the GCC release lane; a second
-      # compiler would just add noise to a wide-tolerance perf gate.
+      # The bench smokes run once, in the GCC release lane.
       RUN_BENCH=0
     else
       BUILD_DIR="${BUILD_DIR:-${REPO_ROOT}/build}"
@@ -217,22 +217,6 @@ fi
 if [[ "${RUN_BENCH}" == 1 ]]; then
   echo "== bench smoke: section 7.1 parallelism (old vs new GEMM kernel) =="
   "${BUILD_DIR}/bench_section7_parallelism"
-
-  echo "== bench gate: serving sessions/s vs ci/bench_baseline.json =="
-  # Wide tolerance band (override: PP_BENCH_GATE_MIN_RATIO): the gate
-  # exists to catch order-of-magnitude regressions across heterogeneous
-  # runners, not percent-level noise.
-  "${BUILD_DIR}/bench_serving_smoke" \
-    --out "${BUILD_DIR}/BENCH_serving.json" \
-    --baseline "${REPO_ROOT}/ci/bench_baseline.json" \
-    --min-ratio "${PP_BENCH_GATE_MIN_RATIO:-0.30}" \
-    --metrics-out "${BUILD_DIR}/BENCH_serving_metrics"
-
-  echo "== bench gate: ingest events/s vs ci/bench_ingest_baseline.json =="
-  "${BUILD_DIR}/bench_ingest_smoke" \
-    --out "${BUILD_DIR}/BENCH_ingest.json" \
-    --baseline "${REPO_ROOT}/ci/bench_ingest_baseline.json" \
-    --min-ratio "${PP_BENCH_GATE_MIN_RATIO:-0.30}"
 
   echo "== perfbench self-test (ingest == replay, traced == untraced) =="
   # Builds perfbench/ into .bench_build/ against this checkout's src/, so

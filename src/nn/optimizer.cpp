@@ -72,28 +72,4 @@ void Adam::deserialize(BinaryReader& reader) {
   v_ = std::move(v);
 }
 
-Sgd::Sgd(std::vector<Variable> params, SgdConfig config)
-    : Optimizer(std::move(params)), config_(config) {
-  velocity_.reserve(params_.size());
-  for (const auto& p : params_) {
-    velocity_.emplace_back(Matrix::zeros(p.rows(), p.cols()));
-  }
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    if (!params_[i].has_grad()) continue;
-    const Matrix& g = params_[i].grad();
-    Matrix& value = params_[i].mutable_value();
-    Matrix& vel = velocity_[i];
-    for (std::size_t j = 0; j < g.size(); ++j) {
-      double grad = g[j];
-      if (config_.weight_decay > 0) grad += config_.weight_decay * value[j];
-      vel[j] = static_cast<float>(config_.momentum * vel[j] +
-                                  config_.learning_rate * grad);
-      value[j] -= vel[j];
-    }
-  }
-}
-
 }  // namespace pp::nn

@@ -1,5 +1,4 @@
-// First-order optimizers. The paper trains with Adam at lr=1e-3 (§7); SGD
-// with momentum is provided for comparison and tests.
+// First-order optimizers. The paper trains with Adam at lr=1e-3 (§7).
 #pragma once
 
 #include <unordered_map>
@@ -61,22 +60,6 @@ class Adam final : public Optimizer {
   std::size_t t_ = 0;
   std::vector<Matrix> m_;  // first-moment estimates, aligned with params_
   std::vector<Matrix> v_;  // second-moment estimates
-};
-
-struct SgdConfig {
-  double learning_rate = 1e-2;
-  double momentum = 0.0;
-  double weight_decay = 0.0;
-};
-
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Variable> params, SgdConfig config = {});
-  void step() override;
-
- private:
-  SgdConfig config_;
-  std::vector<Matrix> velocity_;
 };
 
 }  // namespace pp::nn

@@ -96,9 +96,4 @@ ModelRegistryStats ModelRegistry::stats() const {
   return stats_;
 }
 
-std::size_t ModelRegistry::retained_versions() const {
-  MutexLock lock(writer_mutex_);
-  return history_.size();
-}
-
 }  // namespace pp::online

@@ -9,7 +9,7 @@
 //                   |                    the SIMD TUs were compiled in
 //                   | GemmKernel::kBlocked otherwise
 //
-// Forcing kSimd (via env or set_gemm_kernel) on a host without AVX2+FMA
+// Forcing kSimd (via env or GemmConfigScope) on a host without AVX2+FMA
 // falls back to kBlocked at dispatch time — the AVX2 code is never
 // executed on a CPU that cannot run it. Benches and tests read the
 // resolved kernel through gemm_dispatched_kernel() so recorded numbers

@@ -340,14 +340,22 @@ void run_partitioned(std::size_t rows, std::size_t macs, RangeFn&& range_fn) {
   });
 }
 
+// The knobs' only writer is GemmConfigScope, which restores them.
+void set_gemm_kernel(GemmKernel kernel) {
+  g_kernel.store(kernel, std::memory_order_relaxed);
+}
+void set_gemm_threads(std::size_t threads) {
+  g_threads.store(threads, std::memory_order_relaxed);
+}
+void set_gemm_parallel_threshold(std::size_t macs) {
+  g_threshold.store(macs, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 // ---- configuration ---------------------------------------------------------
 
 GemmKernel gemm_kernel() { return g_kernel.load(std::memory_order_relaxed); }
-void set_gemm_kernel(GemmKernel kernel) {
-  g_kernel.store(kernel, std::memory_order_relaxed);
-}
 
 GemmKernel gemm_dispatched_kernel() {
   return resolve_kernel(g_kernel.load(std::memory_order_relaxed));
@@ -356,15 +364,9 @@ GemmKernel gemm_dispatched_kernel() {
 std::size_t gemm_threads() {
   return g_threads.load(std::memory_order_relaxed);
 }
-void set_gemm_threads(std::size_t threads) {
-  g_threads.store(threads, std::memory_order_relaxed);
-}
 
 std::size_t gemm_parallel_threshold() {
   return g_threshold.load(std::memory_order_relaxed);
-}
-void set_gemm_parallel_threshold(std::size_t macs) {
-  g_threshold.store(macs, std::memory_order_relaxed);
 }
 
 std::size_t gemm_pool_builds() {

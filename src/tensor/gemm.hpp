@@ -40,8 +40,8 @@
 //  * A row of a batched [B x d] product == the same row computed as a
 //    [1 x d] product — the invariant the batched scoring path relies on.
 //
-// Kernel selection and threading are process-global knobs (benches and
-// the trainer flip them); GemmConfigScope restores them on scope exit.
+// Kernel selection and threading are process-global knobs. GemmConfigScope
+// is the one way to set them, and it restores them on scope exit.
 #pragma once
 
 #include <cstddef>
@@ -56,7 +56,6 @@ enum class GemmKernel { kNaive, kBlocked, kSimd, kAuto };
 /// The configured kernel knob (possibly kAuto). See
 /// gemm_dispatched_kernel() for what will actually run.
 GemmKernel gemm_kernel();
-void set_gemm_kernel(GemmKernel kernel);
 
 /// Resolves the configured knob to the concrete kernel a product would
 /// use right now: kAuto becomes the process default (PP_GEMM_FORCE_KERNEL
@@ -68,12 +67,10 @@ GemmKernel gemm_dispatched_kernel();
 /// Worker threads for the row-partitioned kernels. 1 = sequential
 /// (the default), 0 = hardware concurrency.
 std::size_t gemm_threads();
-void set_gemm_threads(std::size_t threads);
 
 /// Minimum multiply-accumulate count (m*k*n) before the threaded path
 /// engages; small products are faster on the calling thread.
 std::size_t gemm_parallel_threshold();
-void set_gemm_parallel_threshold(std::size_t macs);
 
 /// Total ThreadPool constructions performed by the shared GEMM pool
 /// cache since process start. Pools are cached per width, so callers

@@ -182,19 +182,6 @@ TEST(Adam, MinimizesQuadratic) {
   EXPECT_TRUE(w.value().approx_equal(target, 1e-2f));
 }
 
-TEST(Sgd, MomentumConvergesOnQuadratic) {
-  Variable w(Matrix(1, 2, 5.0f), true);
-  const Matrix target(1, 2, std::vector<float>{-1.0f, 2.0f});
-  Sgd opt({w}, {.learning_rate = 0.02, .momentum = 0.9});
-  for (int i = 0; i < 400; ++i) {
-    opt.zero_grad();
-    Variable diff = autograd::sub(Variable(w.node()), Variable(target));
-    backward(autograd::sum(autograd::mul(diff, diff)));
-    opt.step();
-  }
-  EXPECT_TRUE(w.value().approx_equal(target, 5e-2f));
-}
-
 TEST(Mlp, LearnsXor) {
   Rng rng(15);
   MlpConfig config{
