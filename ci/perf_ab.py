@@ -167,6 +167,14 @@ def summary(metrics, runs):
     return out
 
 
+def bench_json(obj):
+    """One top-level key per line, so a trajectory diff shows which part
+    moved."""
+    return "{\n%s\n}\n" % ",\n".join(
+        " %s: %s" % (json.dumps(k), json.dumps(v, sort_keys=True))
+        for k, v in sorted(obj.items()))
+
+
 def gate(base_rev):
     spec = load_spec(ROOT)
     metrics = spec["end_to_end"]
@@ -255,8 +263,7 @@ def gate(base_rev):
         files[w]["per_layer"] = {n: got[n]["value"] for n in per_layer
                                  if n in got}
         with open(os.path.join(ROOT, "BENCH_%s.json" % w), "w") as f:
-            json.dump(files[w], f, indent=1, sort_keys=True)
-            f.write("\n")
+            f.write(bench_json(files[w]))
 
     if failures:
         print("perf_ab: FAIL (parent %s, change %s)" % (base_sha[:12],
