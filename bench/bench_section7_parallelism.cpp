@@ -97,22 +97,19 @@ int main() {
   struct KernelChoice {
     const char* name;
     tensor::GemmKernel kernel;
-    std::size_t threads;
   };
   // The simd rows dispatch to the AVX2/FMA kernels when the host has them
   // and degrade to blocked otherwise (resolve_kernel in gemm.cpp), so the
   // table stays runnable on any machine.
   const KernelChoice kernels[] = {
-      {"naive (seed)", tensor::GemmKernel::kNaive, 1},
-      {"blocked", tensor::GemmKernel::kBlocked, 1},
-      {"blocked + threads", tensor::GemmKernel::kBlocked, 0},
-      {"simd", tensor::GemmKernel::kSimd, 1},
-      {"simd + threads", tensor::GemmKernel::kSimd, 0},
+      {"naive (seed)", tensor::GemmKernel::kNaive},
+      {"blocked", tensor::GemmKernel::kBlocked},
+      {"simd", tensor::GemmKernel::kSimd},
   };
   Table kernel_table({"gemm_kernel", "seconds_per_epoch", "speedup_vs_naive"});
   double naive_time = 0;
   for (const KernelChoice& choice : kernels) {
-    tensor::GemmConfigScope scope(choice.kernel, choice.threads);
+    tensor::GemmConfigScope scope(choice.kernel);
     train::RnnNetworkConfig net_config;
     net_config.feature_size =
         train::feature_width(dataset.schema, train::FeatureMode::kFull);
@@ -137,8 +134,7 @@ int main() {
         .cell(naive_time / seconds, 2);
   }
   kernel_table.print(
-      "Padded-batch epoch, seed GEMM vs blocked (and ThreadPool-threaded) "
-      "kernel");
+      "Padded-batch epoch, seed GEMM vs blocked and simd kernels");
 
   // ---- raw kernel throughput (the isolated old-vs-new comparison) ------
   const std::size_t dims[] = {128, 384};
@@ -151,7 +147,7 @@ int main() {
     const double flops = 2.0 * static_cast<double>(d) * d * d * reps;
     double base = 0;
     for (const KernelChoice& choice : kernels) {
-      tensor::GemmConfigScope scope(choice.kernel, choice.threads, 0);
+      tensor::GemmConfigScope scope(choice.kernel);
       tensor::Matrix c(d, d);
       Stopwatch sw;
       for (int r = 0; r < reps; ++r) {

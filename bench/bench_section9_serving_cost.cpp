@@ -285,12 +285,11 @@ BENCHMARK(BM_QuantizedScoring)
 /// W1 product of a batched RNNpredict).
 void BM_GemmKernel(benchmark::State& state) {
   const auto kernel = static_cast<tensor::GemmKernel>(state.range(0));
-  const std::size_t threads = static_cast<std::size_t>(state.range(1));
   Rng rng(9);
   const tensor::Matrix a = tensor::Matrix::randn(256, 306, rng);
   const tensor::Matrix b = tensor::Matrix::randn(306, 128, rng);
   tensor::Matrix c(256, 128);
-  tensor::GemmConfigScope scope(kernel, threads, 0);
+  tensor::GemmConfigScope scope(kernel);
   for (auto _ : state) {
     c.set_zero();
     tensor::gemm_accumulate(a, b, c);
@@ -299,12 +298,10 @@ void BM_GemmKernel(benchmark::State& state) {
   state.counters["MACs"] = 256.0 * 306.0 * 128.0;
 }
 BENCHMARK(BM_GemmKernel)
-    ->ArgNames({"kernel", "threads"})
-    ->Args({static_cast<long>(tensor::GemmKernel::kNaive), 1})
-    ->Args({static_cast<long>(tensor::GemmKernel::kBlocked), 1})
-    ->Args({static_cast<long>(tensor::GemmKernel::kBlocked), 0})
-    ->Args({static_cast<long>(tensor::GemmKernel::kSimd), 1})
-    ->Args({static_cast<long>(tensor::GemmKernel::kSimd), 0});
+    ->ArgName("kernel")
+    ->Arg(static_cast<long>(tensor::GemmKernel::kNaive))
+    ->Arg(static_cast<long>(tensor::GemmKernel::kBlocked))
+    ->Arg(static_cast<long>(tensor::GemmKernel::kSimd));
 
 void BM_GbdtPredict(benchmark::State& state) {
   Fixture& f = Fixture::get();

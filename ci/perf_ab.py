@@ -22,9 +22,6 @@ worse than the parent's by more than the metric's `bound` in its `better`
 direction, when any run exits non-zero or prints "correct": false, or
 when the change fails a larger share of its attempts than the parent.
 
-Informational only: the obs overhead, the change with the obs layer on
-against PP_OBS_DISABLED=1 on `replay_d128`, against a 3% budget.
-
 Writes BENCH_<workload>.json at the repository root: the host fingerprint,
 both shas, each side's per-metric median and IQR per lane, and the
 per-layer block of one traced run of the change. `--self-test` feeds
@@ -45,11 +42,8 @@ WORKTREE = os.path.join(ROOT, "build-perf-ab", "base")
 # 8 pairs of 1 s take the same ~6 min, the parent's build included.
 PAIRS = 8
 SECONDS = 1
-ENVS = {"default": {}, "blocked": {"PP_GEMM_FORCE_KERNEL": "blocked"},
-        "obs_off": {"PP_OBS_DISABLED": "1"}}
+ENVS = {"default": {}, "blocked": {"PP_GEMM_FORCE_KERNEL": "blocked"}}
 BLOCKED_WORKLOADS = ("replay_d128", "replay_int8_durable")
-OBS_WORKLOAD = "replay_d128"
-OBS_BUDGET = 0.03
 
 
 def load_spec(root):
@@ -192,9 +186,7 @@ def gate(base_rev):
     comparisons += [(w, "blocked", ("parent", "blocked"),
                      ("change", "blocked"))
                     for w in BLOCKED_WORKLOADS if w in workloads]
-    obs = (OBS_WORKLOAD, "obs", ("change", "obs_off"), ("change", "default"))
-    arms = {(w,) + arm: [] for w, _, a, b in comparisons + [obs]
-            for arm in (a, b)}
+    arms = {(w,) + arm: [] for w, _, a, b in comparisons for arm in (a, b)}
 
     remove_worktree()
     os.makedirs(os.path.dirname(WORKTREE), exist_ok=True)
@@ -227,19 +219,9 @@ def gate(base_rev):
     files = {w: {"workload": w, "parent_sha": base_sha, "change_sha": head_sha,
                  "pairs": PAIRS, "seconds": SECONDS, "lanes": {}}
              for w in workloads}
-    for w, lane, a, b in comparisons + [obs]:
+    for w, lane, a, b in comparisons:
         a_runs, b_runs = arms[(w,) + a], arms[(w,) + b]
         found, rows = judge(metrics, a_runs, b_runs)
-        if lane == "obs":
-            for name, off, on, worse in rows:
-                if name == "sessions_per_s":
-                    print("obs overhead (%s, %s, on vs off): %.1f%% "
-                          "(on %.0f/s, off %.0f/s; budget %.0f%%)" %
-                          (w, name, 100 * worse, on, off, 100 * OBS_BUDGET))
-                    files[w]["obs_overhead"] = worse
-            if not rows:
-                print("obs overhead (%s): not measured: %s" % (w, found[0]))
-            continue
         print("%s [%s]" % (w, lane))
         for name, base, head, worse in rows:
             print("  %-20s parent %12.4g  change %12.4g  %+6.1f%% worse" %

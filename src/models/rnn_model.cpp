@@ -1,7 +1,6 @@
 #include "models/rnn_model.hpp"
 
 #include "obs/metrics.hpp"
-#include "tensor/gemm.hpp"
 #include "util/math.hpp"
 #include "util/stopwatch.hpp"
 
@@ -10,37 +9,22 @@ namespace pp::models {
 namespace {
 
 /// Stage histograms for the batched prediction head, resolved once per
-/// precision (function-local static per instantiation) and per GEMM kernel,
-/// so a sampled call does no registry lookup — only two clock reads.
+/// precision (function-local static per instantiation), so a sampled call
+/// does no registry lookup — only two clock reads.
 struct HeadStageHists {
-  std::array<obs::LatencyHistogram*, 3> gemm{};  // naive / blocked / simd
+  obs::LatencyHistogram* gemm = nullptr;
   obs::LatencyHistogram* sigmoid = nullptr;
 };
 
 HeadStageHists make_head_hists(const char* precision) {
   auto& registry = obs::MetricsRegistry::global();
   HeadStageHists hists;
-  const char* kernels[3] = {"naive", "blocked", "simd"};
-  for (std::size_t k = 0; k < 3; ++k) {
-    hists.gemm[k] = &registry.histogram(
-        "pp_serving_stage_ns", {{"stage", "head_gemm"},
-                                {"precision", precision},
-                                {"kernel", kernels[k]}});
-  }
+  hists.gemm = &registry.histogram(
+      "pp_serving_stage_ns",
+      {{"stage", "head_gemm"}, {"precision", precision}});
   hists.sigmoid = &registry.histogram(
       "pp_serving_stage_ns", {{"stage", "sigmoid"}, {"precision", precision}});
   return hists;
-}
-
-std::size_t gemm_kernel_slot() {
-  switch (tensor::gemm_dispatched_kernel()) {
-    case tensor::GemmKernel::kNaive:
-      return 0;
-    case tensor::GemmKernel::kBlocked:
-      return 1;
-    default:
-      return 2;
-  }
 }
 
 }  // namespace
@@ -136,7 +120,7 @@ std::vector<double> RnnModel::score_session_batch(
   if (hists != nullptr) lap.reset();
   std::vector<double> scores =
       network_->infer_logits<P>(hidden_block, x_block);
-  if (hists != nullptr) hists->gemm[gemm_kernel_slot()]->record(lap.lap_ns());
+  if (hists != nullptr) hists->gemm->record(lap.lap_ns());
   for (double& s : scores) s = pp::sigmoid(s);
   if (hists != nullptr) hists->sigmoid->record(lap.elapsed_ns());
   return scores;

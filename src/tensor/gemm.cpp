@@ -3,46 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <memory>
-#include <unordered_map>
 
 #include "tensor/cpu_dispatch.hpp"
 #include "tensor/gemm_simd.hpp"
 #include "tensor/matrix.hpp"
-#include "util/mutex.hpp"
-#include "util/thread.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pp::tensor {
 
 namespace {
 
 std::atomic<GemmKernel> g_kernel{GemmKernel::kAuto};
-std::atomic<std::size_t> g_threads{1};
-// ~0.25 MMAC: below this a [B x d] product finishes before a pool handoff
-// would even wake a worker.
-std::atomic<std::size_t> g_threshold{256 * 1024};
-
-std::atomic<std::size_t> g_pool_builds{0};
-
-/// Pools are shared across all gemm call sites and cached per width:
-/// two concurrent callers alternating widths (e.g. a trainer at 8 and a
-/// serving replica at 4) each keep their own pool instead of thrashing
-/// thread creation on the hot path. The cache is bounded by the number
-/// of distinct configured widths, which is a handful in practice.
-/// Handing out shared_ptr copies keeps a cache eviction (none today)
-/// from pulling a pool out from under a concurrent caller.
-std::shared_ptr<ThreadPool> acquire_pool(std::size_t threads) {
-  static Mutex mutex;
-  static std::unordered_map<std::size_t, std::shared_ptr<ThreadPool>> pools;
-  MutexLock lock(mutex);
-  std::shared_ptr<ThreadPool>& pool = pools[threads];
-  if (!pool) {
-    pool = std::make_shared<ThreadPool>(threads);
-    g_pool_builds.fetch_add(1, std::memory_order_relaxed);
-  }
-  return pool;
-}
 
 // Tile sizes: the (kKc x kNc) B tile is 128 KB — L2-resident — and is
 // reused across kMc output rows; each kNc-wide C row segment is 1 KB and
@@ -315,40 +285,9 @@ inline void debug_check_finite_b(const Matrix& b) {
 #endif
 }
 
-/// Runs `range_fn(i0, i1)` over [0, rows), striped across the shared pool
-/// when the configured thread count and the product size justify it. The
-/// pool cache is keyed by the configured width — only the stripe count is
-/// clamped to the row count — so alternating row shapes or widths never
-/// force a pool teardown/respawn.
-template <typename RangeFn>
-void run_partitioned(std::size_t rows, std::size_t macs, RangeFn&& range_fn) {
-  std::size_t threads = g_threads.load(std::memory_order_relaxed);
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, Thread::hardware_concurrency());
-  }
-  const std::size_t stripes = std::min(threads, rows);
-  if (stripes <= 1 || macs < g_threshold.load(std::memory_order_relaxed)) {
-    range_fn(std::size_t{0}, rows);
-    return;
-  }
-  auto pool = acquire_pool(threads);
-  const std::size_t stripe = (rows + stripes - 1) / stripes;
-  pool->parallel_for(stripes, [&](std::size_t t) {
-    const std::size_t i0 = t * stripe;
-    const std::size_t i1 = std::min(i0 + stripe, rows);
-    if (i0 < i1) range_fn(i0, i1);
-  });
-}
-
-// The knobs' only writer is GemmConfigScope, which restores them.
+// The knob's only writer is GemmConfigScope, which restores it.
 void set_gemm_kernel(GemmKernel kernel) {
   g_kernel.store(kernel, std::memory_order_relaxed);
-}
-void set_gemm_threads(std::size_t threads) {
-  g_threads.store(threads, std::memory_order_relaxed);
-}
-void set_gemm_parallel_threshold(std::size_t macs) {
-  g_threshold.store(macs, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -361,43 +300,12 @@ GemmKernel gemm_dispatched_kernel() {
   return resolve_kernel(g_kernel.load(std::memory_order_relaxed));
 }
 
-std::size_t gemm_threads() {
-  return g_threads.load(std::memory_order_relaxed);
-}
-
-std::size_t gemm_parallel_threshold() {
-  return g_threshold.load(std::memory_order_relaxed);
-}
-
-std::size_t gemm_pool_builds() {
-  return g_pool_builds.load(std::memory_order_relaxed);
-}
-
-GemmConfigScope::GemmConfigScope(GemmKernel kernel, std::size_t threads)
-    : saved_kernel_(gemm_kernel()),
-      saved_threads_(gemm_threads()),
-      saved_threshold_(gemm_parallel_threshold()) {
+GemmConfigScope::GemmConfigScope(GemmKernel kernel)
+    : saved_kernel_(gemm_kernel()) {
   set_gemm_kernel(kernel);
-  set_gemm_threads(threads);
 }
 
-GemmConfigScope::GemmConfigScope(GemmKernel kernel, std::size_t threads,
-                                 std::size_t parallel_threshold)
-    : GemmConfigScope(kernel, threads) {
-  set_gemm_parallel_threshold(parallel_threshold);
-}
-
-GemmConfigScope::~GemmConfigScope() {
-  set_gemm_kernel(saved_kernel_);
-  set_gemm_threads(saved_threads_);
-  set_gemm_parallel_threshold(saved_threshold_);
-}
-
-void gemm_partition_rows(
-    std::size_t rows, std::size_t macs,
-    const std::function<void(std::size_t, std::size_t)>& range_fn) {
-  run_partitioned(rows, macs, range_fn);
-}
+GemmConfigScope::~GemmConfigScope() { set_gemm_kernel(saved_kernel_); }
 
 // ---- public kernels --------------------------------------------------------
 
@@ -467,17 +375,13 @@ void gemm_nn_dispatch(const Matrix& a, const Matrix& b, Matrix& c) {
   debug_check_finite_b(b);
   switch (resolve_kernel(g_kernel.load(std::memory_order_relaxed))) {
     case GemmKernel::kNaive:
-      gemm_nn_naive(a, b, c);
+      nn_naive_range(a.data(), b.data(), c.data(), k, n, 0, m);
       return;
     case GemmKernel::kSimd:
-      run_partitioned(m, m * k * n, [&](std::size_t i0, std::size_t i1) {
-        simd::nn_f32_range(a.data(), b.data(), c.data(), k, n, i0, i1);
-      });
+      simd::nn_f32_range(a.data(), b.data(), c.data(), k, n, 0, m);
       return;
     default:
-      run_partitioned(m, m * k * n, [&](std::size_t i0, std::size_t i1) {
-        nn_blocked_range(a.data(), b.data(), c.data(), k, n, i0, i1);
-      });
+      nn_blocked_range(a.data(), b.data(), c.data(), k, n, 0, m);
   }
 }
 
@@ -487,17 +391,13 @@ void gemm_tn_dispatch(const Matrix& a, const Matrix& b, Matrix& c) {
   debug_check_finite_b(b);
   switch (resolve_kernel(g_kernel.load(std::memory_order_relaxed))) {
     case GemmKernel::kNaive:
-      gemm_tn_naive(a, b, c);
+      tn_naive_range(a.data(), b.data(), c.data(), k, m, n, 0, m);
       return;
     case GemmKernel::kSimd:
-      run_partitioned(m, m * k * n, [&](std::size_t i0, std::size_t i1) {
-        simd::tn_f32_range(a.data(), b.data(), c.data(), k, m, n, i0, i1);
-      });
+      simd::tn_f32_range(a.data(), b.data(), c.data(), k, m, n, 0, m);
       return;
     default:
-      run_partitioned(m, m * k * n, [&](std::size_t i0, std::size_t i1) {
-        tn_blocked_range(a.data(), b.data(), c.data(), k, m, n, i0, i1);
-      });
+      tn_blocked_range(a.data(), b.data(), c.data(), k, m, n, 0, m);
   }
 }
 
@@ -507,17 +407,13 @@ void gemm_nt_dispatch(const Matrix& a, const Matrix& b, Matrix& c) {
   debug_check_finite_b(b);
   switch (resolve_kernel(g_kernel.load(std::memory_order_relaxed))) {
     case GemmKernel::kNaive:
-      gemm_nt_naive(a, b, c);
+      nt_naive_range(a.data(), b.data(), c.data(), k, n, 0, m);
       return;
     case GemmKernel::kSimd:
-      run_partitioned(m, m * k * n, [&](std::size_t i0, std::size_t i1) {
-        simd::nt_f32_range(a.data(), b.data(), c.data(), k, n, i0, i1);
-      });
+      simd::nt_f32_range(a.data(), b.data(), c.data(), k, n, 0, m);
       return;
     default:
-      run_partitioned(m, m * k * n, [&](std::size_t i0, std::size_t i1) {
-        nt_blocked_range(a.data(), b.data(), c.data(), k, n, i0, i1);
-      });
+      nt_blocked_range(a.data(), b.data(), c.data(), k, n, 0, m);
   }
 }
 

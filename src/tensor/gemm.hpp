@@ -15,18 +15,18 @@
 //               dedicated -mavx2 -mfma TUs. Selected by default when the
 //               host CPU supports it; falls back to kBlocked otherwise.
 //  * kAuto    — "use the dispatch default" (the initial configuration).
-// All kernels compose with the optional row-partitioned ThreadPool
-// variant. PP_GEMM_FORCE_KERNEL=naive|blocked|simd overrides the
-// process default (CI uses it to keep the portable path tested on AVX2
-// runners); gemm_dispatched_kernel() reports what would actually run.
+// Every product runs on the calling thread: parallelism lives above the
+// GEMM, at the level of whole users (§7.1). PP_GEMM_FORCE_KERNEL=
+// naive|blocked|simd overrides the process default (CI uses it to keep
+// the portable path tested on AVX2 runners); gemm_dispatched_kernel()
+// reports what would actually run.
 //
 // Parity contract (pinned by tests/tensor_gemm_test.cpp):
 //  * Accumulation order over the shared dimension is identical
-//    (ascending p per output element) in every kernel and stripe
-//    partition, and FP contraction is pinned OFF in every kernel TU
-//    (-ffp-contract=off; the SIMD kernels use explicit separate
-//    vmulps+vaddps, never fused FMA), so naive == blocked == simd ==
-//    threaded bit-for-bit, int8 and f32 alike.
+//    (ascending p per output element) in every kernel, and FP
+//    contraction is pinned OFF in every kernel TU (-ffp-contract=off;
+//    the SIMD kernels use explicit separate vmulps+vaddps, never fused
+//    FMA), so naive == blocked == simd bit-for-bit, int8 and f32 alike.
 //  * Zero-skip contract: the nn/tn kernels skip an individual (row, p)
 //    term exactly when the A operand is 0.0f. Every kernel skips at the
 //    same per-(row, p) granularity, so the equivalence holds bitwise
@@ -40,12 +40,11 @@
 //  * A row of a batched [B x d] product == the same row computed as a
 //    [1 x d] product — the invariant the batched scoring path relies on.
 //
-// Kernel selection and threading are process-global knobs. GemmConfigScope
-// is the one way to set them, and it restores them on scope exit.
+// Kernel selection is a process-global knob. GemmConfigScope is the one
+// way to set it, and it restores it on scope exit.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 
 namespace pp::tensor {
 
@@ -64,35 +63,17 @@ GemmKernel gemm_kernel();
 /// when SIMD is unavailable. Never returns kAuto.
 GemmKernel gemm_dispatched_kernel();
 
-/// Worker threads for the row-partitioned kernels. 1 = sequential
-/// (the default), 0 = hardware concurrency.
-std::size_t gemm_threads();
-
-/// Minimum multiply-accumulate count (m*k*n) before the threaded path
-/// engages; small products are faster on the calling thread.
-std::size_t gemm_parallel_threshold();
-
-/// Total ThreadPool constructions performed by the shared GEMM pool
-/// cache since process start. Pools are cached per width, so callers
-/// alternating widths must not drive this up (regression-tested).
-std::size_t gemm_pool_builds();
-
-/// RAII guard: selects (kernel, threads[, parallel threshold]) for the
-/// current scope and restores the previous configuration — threshold
-/// included — on destruction.
+/// RAII guard: selects the kernel for the current scope and restores the
+/// previous one on destruction.
 class GemmConfigScope {
  public:
-  GemmConfigScope(GemmKernel kernel, std::size_t threads);
-  GemmConfigScope(GemmKernel kernel, std::size_t threads,
-                  std::size_t parallel_threshold);
+  explicit GemmConfigScope(GemmKernel kernel);
   ~GemmConfigScope();
   GemmConfigScope(const GemmConfigScope&) = delete;
   GemmConfigScope& operator=(const GemmConfigScope&) = delete;
 
  private:
   GemmKernel saved_kernel_;
-  std::size_t saved_threads_;
-  std::size_t saved_threshold_;
 };
 
 // ---- accumulating kernels (exposed for parity tests and benches) ----
@@ -113,16 +94,7 @@ void gemm_nt_naive(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_nt_blocked(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_nt_simd(const Matrix& a, const Matrix& b, Matrix& c);
 
-/// Row-partitions [0, rows) across the shared GEMM thread pool according
-/// to the global (threads, parallel-threshold) configuration; `macs` is
-/// the multiply-accumulate count weighed against the threshold, and the
-/// sequential path simply runs range_fn(0, rows) on the caller. Exposed so
-/// sibling kernels (the int8 qgemm) share one pool and one set of knobs.
-void gemm_partition_rows(
-    std::size_t rows, std::size_t macs,
-    const std::function<void(std::size_t, std::size_t)>& range_fn);
-
-// ---- dispatchers used by Matrix (kernel + threading per global config) ----
+// ---- dispatchers used by Matrix (kernel per global config) ----
 void gemm_nn_dispatch(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_tn_dispatch(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_nt_dispatch(const Matrix& a, const Matrix& b, Matrix& c);

@@ -235,7 +235,7 @@ void tn_f32_range(const float* a, const float* b, float* c, std::size_t k,
 // ---- nt: c[i0:i1, :] += a[i0:i1, :] * b^T ---------------------------------
 // b is [n x k] row-major. 16 B rows are packed into a transposed panel
 // (panel[p*16 + t] = b[(j+t)*k + p]) so the inner loop is the broadcast
-// kernel again; the pack cost is amortized over all rows of the stripe.
+// kernel again; the pack cost is amortized over all rows of the call.
 // Accumulators start at 0.0f and C is updated once per tile — the same
 // local-dot-product-then-add chain as nt_naive_range, so results stay
 // bit-identical. No zero-skip: the naive nt kernel computes every term.

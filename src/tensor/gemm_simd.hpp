@@ -11,7 +11,7 @@
 // the per-(row, p) zero-skip), so their results are bit-identical — for
 // finite and non-finite operands alike. The int8 kernel is exact integer
 // arithmetic. Range signatures mirror the static *_range helpers in
-// gemm.cpp so gemm_partition_rows can stripe any of them.
+// gemm.cpp, so a dispatcher calls either kind over rows [0, m).
 #pragma once
 
 #include <cstddef>

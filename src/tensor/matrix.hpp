@@ -7,8 +7,8 @@
 //  * All shape mismatches throw std::invalid_argument; training code relies
 //    on these checks instead of silent broadcasting surprises.
 //  * The kernels that dominate training time (gemm/gemv) live in
-//    tensor/gemm.hpp: a cache-blocked kernel with an optional
-//    ThreadPool-parallel row partition, plus the naive reference loops.
+//    tensor/gemm.hpp: cache-blocked and AVX2 kernels that run on the
+//    calling thread, plus the naive reference loops.
 //    matmul/matmul_transposed_*/gemm_accumulate dispatch through them.
 #pragma once
 

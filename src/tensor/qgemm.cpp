@@ -364,9 +364,7 @@ void qgemm_nn_i32_naive(const std::int8_t* a, const std::int8_t* b,
 void qgemm_nn_i32_blocked(const std::int8_t* a, const std::int8_t* b,
                           std::int32_t* c, std::size_t m, std::size_t k,
                           std::size_t n) {
-  gemm_partition_rows(m, m * k * n, [&](std::size_t i0, std::size_t i1) {
-    nn_i32_blocked_range(a, b, c, k, n, i0, i1);
-  });
+  nn_i32_blocked_range(a, b, c, k, n, 0, m);
 }
 
 void qgemm_nn_i32_simd(const std::int8_t* a, const QuantizedWeights& b,
@@ -380,9 +378,7 @@ void qgemm_nn_i32_simd(const std::int8_t* a, const QuantizedWeights& b,
     qgemm_nn_i32_blocked(a, bd, c, m, k, n);
     return;
   }
-  gemm_partition_rows(m, m * k * n, [&](std::size_t i0, std::size_t i1) {
-    simd::nn_i8i32_range(a, bd, panel, c, k, n, i0, i1);
-  });
+  simd::nn_i8i32_range(a, bd, panel, c, k, n, 0, m);
 }
 
 Matrix qgemm(const QuantizedMatrix& a, const QuantizedWeights& b) {

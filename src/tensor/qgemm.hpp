@@ -12,17 +12,17 @@
 // stored hidden states) or one pair per row (activations). Per-row scaling
 // is what keeps batching bit-transparent: a row's encoding depends only on
 // that row, so a [B x d] quantized product row equals the same row scored
-// alone — the invariant the batched serving path and the threaded-parity
-// tests rely on. Weights use the symmetric special case (zero_point 0,
+// alone — the invariant the batched serving path and the batched == single
+// parity tests rely on. Weights use the symmetric special case (zero_point 0,
 // q in [-127, 127]) whose rules match the HiddenStateStore int8 codec
 // exactly; one-sided activations (ReLU outputs) use the full affine form
 // for an extra bit of resolution.
 //
 // qgemm computes C = dequant(A) * dequant(B) through an int8 x int8 -> i32
-// kernel (blocked: same tiles / 4-row micro-kernel / shared ThreadPool row
-// partition as the f32 kernel; simd: the AVX2 kernel in qgemm_avx2.cpp).
-// Integer accumulation is exact, so naive == blocked == simd == threaded
-// bit-for-bit with no ±0 caveats. B is a QuantizedWeights: per-tensor
+// kernel (blocked: same tiles / 4-row micro-kernel as the f32 kernel; simd:
+// the AVX2 kernel in qgemm_avx2.cpp), on the calling thread. Integer
+// accumulation is exact, so naive == blocked == simd bit-for-bit with no
+// ±0 caveats. B is a QuantizedWeights: per-tensor
 // symmetric, with everything derived from its bytes (the SIMD panel, the
 // column sums) built once at construction, never per call. A zero points
 // are folded in afterwards via the standard column-sum correction:
@@ -140,12 +140,11 @@ Matrix qgemm(const QuantizedMatrix& a, const QuantizedWeights& b);
 
 // ---- raw i32 kernels (exposed for parity tests and benches) ----
 // c[m x n] += a[m x k] * b[k x n] over int8 operands with int32
-// accumulation; `blocked` and `simd` additionally row-partition across
-// the shared GEMM pool per the global (threads, threshold) knobs. `simd`
-// takes B prepared as QuantizedWeights (k and n come from it) and runs
-// the AVX2 kernel (qgemm_avx2.cpp) when B carries a panel, falling back
-// to `blocked` otherwise — integer arithmetic is exact, so all three
-// agree bit-for-bit.
+// accumulation, on the calling thread. `simd` takes B prepared as
+// QuantizedWeights (k and n come from it) and runs the AVX2 kernel
+// (qgemm_avx2.cpp) when B carries a panel, falling back to `blocked`
+// otherwise — integer arithmetic is exact, so all three agree
+// bit-for-bit.
 void qgemm_nn_i32_naive(const std::int8_t* a, const std::int8_t* b,
                         std::int32_t* c, std::size_t m, std::size_t k,
                         std::size_t n);

@@ -1,5 +1,7 @@
-// Fixed-size thread pool used for per-user gradient evaluation (the paper's
-// "custom parallelism", §7.1) and for feature-parallel GBDT split search.
+// Fixed-size thread pool for parallelism at the level of whole users (the
+// paper's "custom parallelism", §7.1): per-user trainer replicas, per-user
+// scoring in score_users and example building, and the user-affine group
+// fan-out in PrecomputeService.
 #pragma once
 
 #include <cstddef>
@@ -46,11 +48,11 @@ class ThreadPool {
   /// Runs fn(i) for i in [0, count), blocking until all are done. Work is
   /// dealt in contiguous chunks to limit scheduling overhead.
   ///
-  /// Re-entrancy: when called from one of this pool's own workers (e.g. a
-  /// threaded GEMM inside a sharded serving worker) the chunks run inline
-  /// on the caller (caller-runs). Submitting them would deadlock — the
-  /// worker would block on futures that only the occupied workers could
-  /// ever schedule.
+  /// Re-entrancy: when called from one of this pool's own workers (a task
+  /// fanning its own work out over the pool it runs on) the chunks run
+  /// inline on the caller (caller-runs). Submitting them would deadlock —
+  /// the worker would block on futures that only the occupied workers
+  /// could ever schedule.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
 

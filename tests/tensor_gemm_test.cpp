@@ -1,9 +1,9 @@
-// Parity and property tests for the blocked / SIMD / threaded GEMM
-// kernels (tensor/gemm.hpp). The naive loops are the reference; the
-// blocked and AVX2 kernels must agree with them bit-for-bit (the parity
-// contract in gemm.hpp), on every shape and under every thread count,
-// for f32 and int8 alike — including the full int8 range with the -128
-// maddubs edge case and non-finite B under the zero-skip contract.
+// Parity and property tests for the blocked / SIMD GEMM kernels
+// (tensor/gemm.hpp). The naive loops are the reference; the blocked and
+// AVX2 kernels must agree with them bit-for-bit (the parity contract in
+// gemm.hpp), on every shape, for f32 and int8 alike — including the full
+// int8 range with the -128 maddubs edge case and non-finite B under the
+// zero-skip contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -100,28 +100,6 @@ TEST_P(GemmParity, BlockedMatchesNaive_NT) {
       c_blocked.approx_equal(reference_matmul(a, b.transposed()), 1e-3f));
 }
 
-TEST_P(GemmParity, ThreadedMatchesSequentialBitForBit) {
-  const auto [m, k, n] = GetParam();
-  Rng rng(shape_seed(GetParam()) ^ 0x77);
-  const Matrix a = Matrix::randn(m, k, rng);
-  const Matrix b = Matrix::randn(k, n, rng);
-
-  Matrix sequential;
-  {
-    GemmConfigScope scope(GemmKernel::kBlocked, 1);
-    sequential = a.matmul(b);
-  }
-  Matrix threaded;
-  {
-    // Threshold 0 forces the threaded path even for tiny products.
-    GemmConfigScope scope(GemmKernel::kBlocked, 4, 0);
-    threaded = a.matmul(b);
-  }
-  // Row stripes never change the per-element accumulation order, so the
-  // results are identical bits, not just approximately equal.
-  EXPECT_EQ(sequential, threaded);
-}
-
 TEST_P(GemmParity, MatmulEntryPointsAgreeAcrossKernels) {
   const auto [m, k, n] = GetParam();
   Rng rng(shape_seed(GetParam()) ^ 0xfeed);
@@ -132,12 +110,12 @@ TEST_P(GemmParity, MatmulEntryPointsAgreeAcrossKernels) {
 
   Matrix naive_nn, naive_tn, naive_nt;
   {
-    GemmConfigScope scope(GemmKernel::kNaive, 1);
+    GemmConfigScope scope(GemmKernel::kNaive);
     naive_nn = a.matmul(b);
     naive_tn = at.matmul_transposed_self(b);
     naive_nt = a.matmul_transposed_other(bt);
   }
-  GemmConfigScope scope(GemmKernel::kBlocked, 1);
+  GemmConfigScope scope(GemmKernel::kBlocked);
   EXPECT_TRUE(a.matmul(b).approx_equal(naive_nn, 1e-4f));
   EXPECT_TRUE(at.matmul_transposed_self(b).approx_equal(naive_tn, 1e-4f));
   EXPECT_TRUE(a.matmul_transposed_other(bt).approx_equal(naive_nt, 1e-4f));
@@ -169,19 +147,17 @@ TEST(Gemm, RandomizedShapesMatchReference) {
 }
 
 TEST(Gemm, DeterministicAcrossRepeatedRuns) {
-  // Same seed -> bitwise-identical inputs and outputs, with and without
-  // threading: the reproducibility contract the training seeds rely on.
-  auto run = [](std::size_t threads) {
+  // Same seed -> bitwise-identical inputs and outputs: the
+  // reproducibility contract the training seeds rely on.
+  auto run = [] {
     Rng rng(42);
     const Matrix a = Matrix::randn(37, 53, rng);
     const Matrix b = Matrix::randn(53, 29, rng);
-    GemmConfigScope scope(GemmKernel::kBlocked, threads, 0);
+    GemmConfigScope scope(GemmKernel::kBlocked);
     return a.matmul(b);
   };
-  const Matrix first = run(1);
-  EXPECT_EQ(first, run(1));
-  EXPECT_EQ(first, run(3));
-  EXPECT_EQ(first, run(8));
+  const Matrix first = run();
+  EXPECT_EQ(first, run());
 }
 
 TEST(Gemm, AccumulatesIntoExistingOutput) {
@@ -225,26 +201,17 @@ std::vector<std::int8_t> random_int8(std::size_t n, Rng& rng) {
 
 class QGemmParity : public ::testing::TestWithParam<GemmShape> {};
 
-TEST_P(QGemmParity, BlockedAndThreadedMatchNaiveExactly) {
-  // Integer accumulation is exact, so naive / blocked / threaded must be
+TEST_P(QGemmParity, BlockedMatchesNaiveExactly) {
+  // Integer accumulation is exact, so naive and blocked must be
   // identical — no float-tolerance escape hatch.
   const auto [m, k, n] = GetParam();
   Rng rng(shape_seed(GetParam()) ^ 0x1111);
   const auto a = random_int8(m * k, rng);
   const auto b = random_int8(k * n, rng);
-  std::vector<std::int32_t> c_naive(m * n, 0), c_blocked(m * n, 0),
-      c_threaded(m * n, 0);
+  std::vector<std::int32_t> c_naive(m * n, 0), c_blocked(m * n, 0);
   qgemm_nn_i32_naive(a.data(), b.data(), c_naive.data(), m, k, n);
-  {
-    GemmConfigScope scope(GemmKernel::kBlocked, 1);
-    qgemm_nn_i32_blocked(a.data(), b.data(), c_blocked.data(), m, k, n);
-  }
-  {
-    GemmConfigScope scope(GemmKernel::kBlocked, 4, 0);  // force fan-out
-    qgemm_nn_i32_blocked(a.data(), b.data(), c_threaded.data(), m, k, n);
-  }
+  qgemm_nn_i32_blocked(a.data(), b.data(), c_blocked.data(), m, k, n);
   EXPECT_EQ(c_naive, c_blocked);
-  EXPECT_EQ(c_naive, c_threaded);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, QGemmParity,
@@ -359,22 +326,12 @@ TEST_P(GemmParity, SimdMatchesNaiveBitForBit_NT) {
 }
 
 // ---- dispatch matrix sweep -------------------------------------------------
-// Every kernel x thread-count combination must produce identical bits on
-// odd / remainder-heavy shapes: the micro-kernel edges (6-row f32 blocks,
-// 16-column panels, 4-byte k-quads) all see partial tiles here.
+// Every kernel must produce identical bits on odd / remainder-heavy
+// shapes: the micro-kernel edges (6-row f32 blocks, 16-column panels,
+// 4-byte k-quads) all see partial tiles here.
 
-struct DispatchCase {
-  GemmKernel kernel;
-  std::size_t threads;
-  const char* tag;
-};
-
-const DispatchCase kDispatchCases[] = {
-    {GemmKernel::kBlocked, 1, "blocked_seq"},
-    {GemmKernel::kBlocked, 4, "blocked_t4"},
-    {GemmKernel::kSimd, 1, "simd_seq"},
-    {GemmKernel::kSimd, 4, "simd_t4"},
-};
+const GemmKernel kDispatchKernels[] = {GemmKernel::kBlocked,
+                                       GemmKernel::kSimd};
 
 TEST(GemmDispatchMatrix, AllKernelsAndThreadCountsBitExactF32) {
   constexpr std::size_t kOddK = 33;  // 8 full k-quads + 1, odd
@@ -387,20 +344,20 @@ TEST(GemmDispatchMatrix, AllKernelsAndThreadCountsBitExactF32) {
       const Matrix bt = b.transposed();
       Matrix ref_nn, ref_tn, ref_nt;
       {
-        GemmConfigScope scope(GemmKernel::kNaive, 1);
+        GemmConfigScope scope(GemmKernel::kNaive);
         ref_nn = a.matmul(b);
         ref_tn = at.matmul_transposed_self(b);
         ref_nt = a.matmul_transposed_other(bt);
       }
-      for (const DispatchCase& dc : kDispatchCases) {
-        // Threshold 0 engages the threaded path even at these sizes.
-        GemmConfigScope scope(dc.kernel, dc.threads, 0);
+      for (const GemmKernel kernel : kDispatchKernels) {
+        GemmConfigScope scope(kernel);
+        const char* tag = gemm_kernel_name(kernel);
         EXPECT_EQ(ref_nn, a.matmul(b))
-            << dc.tag << " nn " << m << "x" << kOddK << "x" << n;
+            << tag << " nn " << m << "x" << kOddK << "x" << n;
         EXPECT_EQ(ref_tn, at.matmul_transposed_self(b))
-            << dc.tag << " tn " << m << "x" << kOddK << "x" << n;
+            << tag << " tn " << m << "x" << kOddK << "x" << n;
         EXPECT_EQ(ref_nt, a.matmul_transposed_other(bt))
-            << dc.tag << " nt " << m << "x" << kOddK << "x" << n;
+            << tag << " nt " << m << "x" << kOddK << "x" << n;
       }
     }
   }
@@ -447,15 +404,15 @@ TEST(GemmDispatchMatrix, QGemmKernelsBitExactOverFullInt8Range) {
     std::vector<std::int32_t> ref(m * n, 0);
     qgemm_nn_i32_naive(a.data(), b.data(), ref.data(), m, k, n);
     const QuantizedWeights wb = packed(b, k, n);
-    for (const DispatchCase& dc : kDispatchCases) {
-      GemmConfigScope scope(GemmKernel::kBlocked, dc.threads, 0);
+    for (const GemmKernel kernel : kDispatchKernels) {
       std::vector<std::int32_t> out(m * n, 0);
-      if (dc.kernel == GemmKernel::kSimd) {
+      if (kernel == GemmKernel::kSimd) {
         qgemm_nn_i32_simd(a.data(), wb, out.data(), m);
       } else {
         qgemm_nn_i32_blocked(a.data(), b.data(), out.data(), m, k, n);
       }
-      EXPECT_EQ(ref, out) << dc.tag << " " << m << "x" << k << "x" << n;
+      EXPECT_EQ(ref, out) << gemm_kernel_name(kernel) << " " << m << "x" << k
+                          << "x" << n;
     }
   };
   for (const std::size_t m : {1u, 5u, 6u, 7u, 17u}) {
@@ -542,12 +499,12 @@ TEST(QGemm, QuantizationCodecParityAcrossKernels) {
     m.at(0, 0) = -0.0f;
     QuantizedMatrix q_simd, qr_simd, qa_simd;
     {
-      GemmConfigScope scope(GemmKernel::kSimd, 1);
+      GemmConfigScope scope(GemmKernel::kSimd);
       q_simd = QuantizedMatrix::quantize(m);
       qr_simd = QuantizedMatrix::quantize_rows(m);
       qa_simd = QuantizedMatrix::quantize_rows_affine(m);
     }
-    GemmConfigScope scope(GemmKernel::kBlocked, 1);
+    GemmConfigScope scope(GemmKernel::kBlocked);
     const QuantizedMatrix q = QuantizedMatrix::quantize(m);
     const QuantizedMatrix qr = QuantizedMatrix::quantize_rows(m);
     const QuantizedMatrix qa = QuantizedMatrix::quantize_rows_affine(m);
@@ -581,12 +538,12 @@ TEST(QGemm, FullProductBitExactAcrossDispatchedKernels) {
   }
   Matrix out_simd, out_blocked;
   {
-    GemmConfigScope scope(GemmKernel::kSimd, 1);
+    GemmConfigScope scope(GemmKernel::kSimd);
     out_simd = qgemm(QuantizedMatrix::quantize_rows(a),
                      QuantizedWeights(QuantizedMatrix::quantize(w)));
   }
   {
-    GemmConfigScope scope(GemmKernel::kBlocked, 1);
+    GemmConfigScope scope(GemmKernel::kBlocked);
     out_blocked = qgemm(QuantizedMatrix::quantize_rows(a),
                         QuantizedWeights(QuantizedMatrix::quantize(w)));
   }
@@ -654,49 +611,22 @@ TEST(Gemm, ZeroSkipParityWithNonFiniteB) {
   EXPECT_TRUE(bits_equal(t_naive, t_simd));
 }
 
-// ---- pool cache ------------------------------------------------------------
-
-TEST(Gemm, PoolCacheDoesNotThrashAcrossAlternatingWidths) {
-  // Regression: acquire_pool used to rebuild the single shared pool every
-  // time the configured width changed, so two call sites alternating
-  // widths paid thread creation per product. The cache keys pools by
-  // width: after both widths are seen once, alternating between them must
-  // build nothing.
-  Rng rng(4242);
-  const Matrix a = Matrix::randn(16, 32, rng);
-  const Matrix b = Matrix::randn(32, 8, rng);
-  auto run_with_threads = [&](std::size_t threads) {
-    GemmConfigScope scope(GemmKernel::kBlocked, threads, 0);
-    return a.matmul(b);
-  };
-  run_with_threads(2);  // warm both widths' pools
-  run_with_threads(3);
-  const std::size_t builds_before = gemm_pool_builds();
-  Matrix last;
-  for (int round = 0; round < 8; ++round) {
-    last = run_with_threads(2);
-    last = run_with_threads(3);
-  }
-  EXPECT_EQ(gemm_pool_builds(), builds_before);
-  EXPECT_TRUE(last.approx_equal(reference_matmul(a, b), 1e-3f));
-}
-
 // ---- dispatch resolution ---------------------------------------------------
 
 TEST(Gemm, DispatchResolutionInvariants) {
   // kAuto is a configuration value, never a dispatch result.
   EXPECT_NE(gemm_dispatched_kernel(), GemmKernel::kAuto);
   {
-    GemmConfigScope scope(GemmKernel::kNaive, 1);
+    GemmConfigScope scope(GemmKernel::kNaive);
     EXPECT_EQ(gemm_dispatched_kernel(), GemmKernel::kNaive);
   }
   {
-    GemmConfigScope scope(GemmKernel::kBlocked, 1);
+    GemmConfigScope scope(GemmKernel::kBlocked);
     EXPECT_EQ(gemm_dispatched_kernel(), GemmKernel::kBlocked);
   }
   {
     // kSimd degrades to kBlocked when the host or build can't run it.
-    GemmConfigScope scope(GemmKernel::kSimd, 1);
+    GemmConfigScope scope(GemmKernel::kSimd);
     EXPECT_EQ(gemm_dispatched_kernel(), gemm_simd_available()
                                             ? GemmKernel::kSimd
                                             : GemmKernel::kBlocked);
@@ -710,14 +640,11 @@ TEST(Gemm, DispatchResolutionInvariants) {
 
 TEST(Gemm, ConfigScopeRestoresGlobals) {
   const GemmKernel kernel_before = gemm_kernel();
-  const std::size_t threads_before = gemm_threads();
   {
-    GemmConfigScope scope(GemmKernel::kNaive, 7);
+    GemmConfigScope scope(GemmKernel::kNaive);
     EXPECT_EQ(gemm_kernel(), GemmKernel::kNaive);
-    EXPECT_EQ(gemm_threads(), 7u);
   }
   EXPECT_EQ(gemm_kernel(), kernel_before);
-  EXPECT_EQ(gemm_threads(), threads_before);
 }
 
 }  // namespace
